@@ -6,10 +6,10 @@
 //	            [-journal PATH] [-drain 30s] [-profile paper|microfilm|cinema|tiny]
 //	            [-fastsim] [-compress=true]
 //
-// Archives are held in an in-memory store keyed by name: an archive job
-// reads a file from disk and stores the resulting volume; restore,
-// range, table, listindex and salvage jobs operate on a stored archive
-// by name. Jobs are asynchronous: submission returns a job ID, progress
+// Archives are held in memory keyed by name: an archive job reads a file
+// from disk, and its result is the named volume; restore, range, table,
+// listindex and salvage jobs operate on the newest succeeded archive of
+// that name. Jobs are asynchronous: submission returns a job ID, progress
 // and results are polled.
 //
 // Endpoints:
@@ -76,8 +76,11 @@ type server struct {
 	chaosFailures int           // transient source failures injected per archive job
 	chaosSlow     time.Duration // latency injected per source read
 
-	mu       sync.Mutex
-	archives map[string]*core.Archived
+	// names maps an archive name to its archive jobs' ids in submission
+	// order. The volumes themselves live in the manager's job results, so
+	// an archive is visible the moment its job is reported succeeded.
+	mu    sync.Mutex
+	names map[string][]int64
 }
 
 // run parses flags, starts the manager and the HTTP listener, and blocks
@@ -130,7 +133,7 @@ func run(args []string, ready chan<- string) error {
 	s := &server{
 		mgr: mgr, opts: opts,
 		chaosFailures: *chaosFailures, chaosSlow: *chaosSlow,
-		archives: make(map[string]*core.Archived),
+		names: make(map[string][]int64),
 	}
 
 	ln, err := net.Listen("tcp", *addr)
@@ -236,14 +239,23 @@ func (s *server) submit(w http.ResponseWriter, req jobs.Request) {
 	}
 }
 
+// lookup resolves an archive name to the volume of its newest archive job
+// that succeeded.
 func (s *server) lookup(w http.ResponseWriter, name string) (*core.Archived, bool) {
 	s.mu.Lock()
-	arch, ok := s.archives[name]
+	ids := s.names[name]
 	s.mu.Unlock()
-	if !ok {
-		http.Error(w, fmt.Sprintf("no archive named %q", name), http.StatusNotFound)
+	for i := len(ids) - 1; i >= 0; i-- {
+		if snap, err := s.mgr.Job(ids[i]); err != nil || snap.State != jobs.StateSucceeded {
+			continue
+		}
+		// Terminal, so Wait returns at once.
+		if res, _, err := s.mgr.Wait(context.Background(), ids[i]); err == nil && res.Archived != nil {
+			return res.Archived, true
+		}
 	}
-	return arch, ok
+	http.Error(w, fmt.Sprintf("no archive named %q", name), http.StatusNotFound)
+	return nil, false
 }
 
 func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
@@ -268,7 +280,6 @@ func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		flaky = faultinject.NewFlaky(s.chaosFailures)
 	}
 	input, slow := b.Input, s.chaosSlow
-	name := b.Name
 	req := jobs.Request{
 		Kind: jobs.KindArchive,
 		Source: func(context.Context) (io.Reader, error) {
@@ -303,15 +314,9 @@ func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Store the finished archive under its name once the job succeeds.
-	go func() {
-		res, _, err := s.mgr.Wait(context.Background(), id)
-		if err == nil && res.Archived != nil {
-			s.mu.Lock()
-			s.archives[name] = res.Archived
-			s.mu.Unlock()
-		}
-	}()
+	s.mu.Lock()
+	s.names[b.Name] = append(s.names[b.Name], id)
+	s.mu.Unlock()
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]int64{"job": id})
 }

@@ -33,10 +33,8 @@ import (
 //	place:  emblems → the volume's sheets, in frame order, one whole group
 //	        per write (serial; a group never straddles a sheet)
 //
-// With one worker the three stages run inline on the calling goroutine —
-// the reference formulation the parallel path must match byte for byte.
-// With more, the serial stages overlap the parallel middle (see
-// pipelineGroups): the planner goroutine cuts groups and feeds frame
+// The serial stages overlap the parallel middle at every worker count
+// (see pipelineGroups): the planner goroutine cuts groups and feeds frame
 // tasks to the encode pool while the placer consumes finished groups in
 // plan order, so planning group k+2, encoding group k+1 and writing
 // group k proceed concurrently instead of the planner and placer
@@ -44,13 +42,12 @@ import (
 //
 // The planner streams: it reads one group's worth of payload bytes at a
 // time and hands the group on before cutting the next, so peak memory is
-// bounded by the groups in flight — exactly one when serial, at most
-// pipelineGroupDepth+2 when pipelined (queue, plus one being planned and
-// one being placed) — not the whole archive's frame list. Fixing headers
-// and frame indices at planning time is what keeps the encode fan-out
-// trivially deterministic: workers only rasterize, they never allocate
-// indices or touch shared counters, and the placer writes whole groups
-// in the order the planner emitted them.
+// bounded by the groups in flight — at most pipelineGroupDepth+2 (queue,
+// plus one being planned and one being placed) — not the whole archive's
+// frame list. Fixing headers and frame indices at planning time is what
+// keeps the encode fan-out trivially deterministic: workers only
+// rasterize, they never allocate indices or touch shared counters, and
+// the placer writes whole groups in the order the planner emitted them.
 
 // The archived decoder programs and the Bootstrap emulator are
 // deterministic builds of static assembly; build each once per process
@@ -144,11 +141,20 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	var sections []archiveSection
 	var idxBlocks []dbcoder.SeekBlock
 	var idxSections []archindex.Section
-	if opts.Compress {
-		data, err := io.ReadAll(r)
-		if err != nil {
+	var data []byte
+	if opts.Compress || opts.Index {
+		// DBCoder is a whole-stream compressor, and section discovery needs
+		// the bytes in hand: both buffer the input.
+		var err error
+		if data, err = io.ReadAll(r); err != nil {
 			return nil, fmt.Errorf("core: reading input: %w", err)
 		}
+		r = bytes.NewReader(data)
+		if opts.Index {
+			idxSections = namedSections(data)
+		}
+	}
+	if opts.Compress {
 		depth := opts.CompressDepth
 		if depth <= 0 {
 			depth = dbcoder.DefaultDepth
@@ -177,7 +183,6 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 			if bl, err := dbcoder.SeekTable(stream); err == nil {
 				idxBlocks = bl
 			}
-			idxSections = namedSections(data)
 		} else {
 			stream = dbcoder.CompressDepth(data, depth)
 		}
@@ -194,17 +199,6 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 			{emblem.KindData, bytes.NewReader(stream), len(stream)},
 			{emblem.KindSystem, bytes.NewReader(sys), len(sys)},
 		}
-	} else if opts.Index {
-		// Section discovery needs the bytes in hand; raw indexed archives
-		// buffer the input like compressed ones do.
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return nil, fmt.Errorf("core: reading input: %w", err)
-		}
-		idxSections = namedSections(data)
-		p.man.RawLen = len(data)
-		p.man.StreamLen = len(data)
-		sections = []archiveSection{{emblem.KindRaw, bytes.NewReader(data), len(data)}}
 	} else {
 		total, rr, err := readerLen(r)
 		if err != nil {
@@ -237,29 +231,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	}
 	workers := resolveWorkers(opts.Workers, plannedFrames(sections, capacity, opts))
 	scratch := make([]encScratch, workers)
-	if workers == 1 {
-		// Serial reference path: plan, encode and place each group inline.
-		ctx := orBackground(opts.Context)
-		emit := func(gp groupPlan) error {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			frames, err := encodeFrames(ctx, gp.tasks, layout, 1, scratch)
-			if err != nil {
-				return err
-			}
-			if err := vol.WriteGroup(frames); err != nil {
-				return fmt.Errorf("core: writing medium: %w", err)
-			}
-			p.groupSheets = append(p.groupSheets, vol.Sheets()-1)
-			return nil
-		}
-		for _, sec := range sections {
-			if err := p.section(sec.kind, sec.r, sec.total, emit); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := pipelineGroups(p, sections, layout, vol, workers, scratch); err != nil {
+	if err := pipelineGroups(p, sections, layout, vol, workers, scratch); err != nil {
 		return nil, err
 	}
 	p.man.Groups = p.groupID
@@ -500,12 +472,13 @@ type encodeTask struct {
 // channel; `workers` encode goroutines drain tasks into their group's
 // frame slots; the placer — this goroutine — consumes the groups queue
 // in order, waiting per group for its last frame. Output is byte-
-// identical to the serial path at any worker count: frame indices,
-// headers and group order are fixed at planning time, and the placer
-// writes whole groups in plan order. Error precedence matches the serial
-// path too — the first failing group in plan order reports its
-// lowest-index frame error (cancelling the rest), and a planner error
-// surfaces only once every group it emitted has been placed.
+// identical at any worker count: frame indices, headers and group order
+// are fixed at planning time, and the placer writes whole groups in plan
+// order. Errors are deterministic too — the first failing group in plan
+// order reports its lowest-index frame error (cancelling the rest), and a
+// planner error surfaces only once every group it emitted has been
+// placed. Cancellation of the caller's context stops the placer at the
+// next group and is returned as the context's error.
 func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout, vol *media.Volume, workers int, scratch []encScratch) error {
 	ctx, cancel := context.WithCancel(orBackground(p.opts.Context))
 	defer cancel()
@@ -514,9 +487,9 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 	tasks := make(chan encodeTask, workers)
 
 	// Plan stage. Every group reaches the groups queue before its frame
-	// tasks are enqueued, so the queue order is the plan order; once a
-	// group is queued, all its tasks follow (cancellation is the placer's
-	// own doing, after which it stops waiting on done channels).
+	// tasks are enqueued, so the queue order is the plan order. Once the
+	// context is cancelled the planner may stop between a group's tasks;
+	// the placer then stops waiting on done channels.
 	planErr := make(chan error, 1)
 	go func() {
 		defer close(groups)
@@ -589,11 +562,17 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 		if placeErr != nil {
 			continue
 		}
-		<-pg.done
-		for _, err := range pg.errs {
-			if err != nil {
-				placeErr = err
-				break
+		select {
+		case <-pg.done:
+		case <-ctx.Done():
+		}
+		// A cancelled run may leave frames unencoded: never place them.
+		if placeErr = ctx.Err(); placeErr == nil {
+			for _, err := range pg.errs {
+				if err != nil {
+					placeErr = err
+					break
+				}
 			}
 		}
 		if placeErr == nil {
@@ -626,7 +605,7 @@ func orBackground(ctx context.Context) context.Context {
 // fillCatalogs renders one catalog emblem per sheet — shared archive
 // identity, inventory, checksums, bootstrap replica — and back-patches
 // each sheet's reserved slot 0. Runs after placement, when the whole
-// inventory is known; serial, on the caller's goroutine.
+// inventory is known.
 func (p *planner) fillCatalogs(vol *media.Volume, capacity int, scratch *encScratch, indexPayload []byte) error {
 	emu, mo, _, err := archivedPrograms()
 	if err != nil {
@@ -673,54 +652,48 @@ func (p *planner) fillCatalogs(vol *media.Volume, capacity int, scratch *encScra
 		IndexSlot:    p.opts.Index,
 		IndexReplica: indexPayload,
 	}
-	for s := 0; s < vol.Sheets(); s++ {
-		c.Sheet = s
-		payload, err := c.Marshal(capacity)
-		if err != nil {
-			return fmt.Errorf("core: %w", err)
-		}
-		hdr := emblem.Header{
-			Kind:    emblem.KindCatalog,
-			Index:   uint16(s),
-			Total:   uint16(vol.Sheets()),
-			GroupID: emblem.CatalogGroupID,
-			// GroupData 0 marks the frame as belonging to no outer-code
-			// group; the assembler consumes it out-of-band.
-			TotalLen: uint32(len(payload)),
-		}
-		img, err := scratch.enc.Encode(payload, hdr, p.opts.Profile.Layout)
-		if err != nil {
-			return fmt.Errorf("core: encoding catalog emblem: %w", err)
-		}
-		if err := vol.FillCatalog(s, img); err != nil {
-			return fmt.Errorf("core: placing catalog emblem: %w", err)
-		}
-	}
-	return nil
+	return p.fillReserved(vol, emblem.KindCatalog, emblem.CatalogGroupID, scratch,
+		func(s int) ([]byte, error) {
+			c.Sheet = s
+			return c.Marshal(capacity)
+		}, vol.FillCatalog)
 }
 
 // fillIndexes renders the selective-restore index emblem — the same
 // payload on every sheet, so any single surviving sheet can answer a
 // range query — and back-patches each sheet's reserved index slot. Runs
 // after placement, when the block and section tables and the archive
-// identity are final; serial, on the caller's goroutine.
+// identity are final.
 func (p *planner) fillIndexes(vol *media.Volume, payload []byte, scratch *encScratch) error {
+	return p.fillReserved(vol, emblem.KindIndex, emblem.IndexGroupID, scratch,
+		func(int) ([]byte, error) { return payload, nil }, vol.FillIndex)
+}
+
+// fillReserved renders one out-of-band emblem of the given kind per sheet
+// and back-patches it into the sheet's reserved slot through fill. Serial,
+// on the caller's goroutine.
+func (p *planner) fillReserved(vol *media.Volume, kind emblem.Kind, groupID uint16, scratch *encScratch,
+	payload func(sheet int) ([]byte, error), fill func(sheet int, img *raster.Gray) error) error {
 	for s := 0; s < vol.Sheets(); s++ {
+		data, err := payload(s)
+		if err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
 		hdr := emblem.Header{
-			Kind:    emblem.KindIndex,
+			Kind:    kind,
 			Index:   uint16(s),
 			Total:   uint16(vol.Sheets()),
-			GroupID: emblem.IndexGroupID,
+			GroupID: groupID,
 			// GroupData 0 marks the frame as belonging to no outer-code
 			// group; the assembler consumes it out-of-band.
-			TotalLen: uint32(len(payload)),
+			TotalLen: uint32(len(data)),
 		}
-		img, err := scratch.enc.Encode(payload, hdr, p.opts.Profile.Layout)
+		img, err := scratch.enc.Encode(data, hdr, p.opts.Profile.Layout)
 		if err != nil {
-			return fmt.Errorf("core: encoding index emblem: %w", err)
+			return fmt.Errorf("core: encoding %s emblem: %w", kind, err)
 		}
-		if err := vol.FillIndex(s, img); err != nil {
-			return fmt.Errorf("core: placing index emblem: %w", err)
+		if err := fill(s, img); err != nil {
+			return fmt.Errorf("core: placing %s emblem: %w", kind, err)
 		}
 	}
 	return nil
@@ -821,33 +794,10 @@ func readerLen(r io.Reader) (int, io.Reader, error) {
 // side's counterpart of restore's emuScratch: the mocoder.Encoder holds
 // the padded-payload, RS-codeword, interleave and bit-stream buffers plus
 // the cached serpentine path. Each worker id owns exactly one goroutine
-// for a run (see forEachFrame), so the scratch is reused serially without
-// locks and a steady-state frame encode allocates only the placed frame.
-// The scratch slice outlives the per-group encode calls, so the reuse
-// carries across groups.
+// for a run (see pipelineGroups), so the scratch is reused serially
+// without locks and a steady-state frame encode allocates only the placed
+// frame. The scratch slice outlives the groups, so the reuse carries
+// across them.
 type encScratch struct {
 	enc mocoder.Encoder
-}
-
-// encodeFrames rasterizes one group plan's frames. Workers claim frames
-// by index and write only frames[i], so the result order matches the plan
-// regardless of scheduling; the first encode error cancels the rest.
-func encodeFrames(ctx context.Context, tasks []frameTask, layout emblem.Layout, workers int, scratch []encScratch) ([]*raster.Gray, error) {
-	frames := make([]*raster.Gray, len(tasks))
-	err := forEachFrame(ctx, workers, len(tasks), func(_ context.Context, worker, i int) error {
-		img, err := scratch[worker].enc.Encode(tasks[i].payload, tasks[i].hdr, layout)
-		if err != nil {
-			kind := "emblem"
-			if tasks[i].hdr.Kind == emblem.KindParity {
-				kind = "parity emblem"
-			}
-			return fmt.Errorf("core: encoding %s: %w", kind, err)
-		}
-		frames[i] = img
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return frames, nil
 }

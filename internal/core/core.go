@@ -9,7 +9,10 @@
 // independent emblem frames:
 //
 //	archive:  split → encode frame → place on medium     (archive.go)
-//	restore:  scan → decode frame → reassemble           (restore.go)
+//	restore:  scan → decode frame → reassemble           (engine.go, restore.go)
+//
+// Every restore entry point — full restore, range and table queries,
+// salvage — is one Engine executor run over its own frame plan.
 //
 // The split/plan and reassemble stages are serial (they carry the
 // cross-frame state: chunking, outer-code groups, stream totals); the
@@ -72,8 +75,8 @@ type Options struct {
 	CompressDepth int
 
 	// Workers bounds the frame-encode worker pool: 0 (the default) uses
-	// GOMAXPROCS, 1 forces the serial reference path, larger values cap
-	// the fan-out. Output is byte-identical at any setting.
+	// GOMAXPROCS, 1 encodes one frame at a time, larger values cap the
+	// fan-out. Output is byte-identical at any setting.
 	Workers int
 
 	// SheetFrames caps the frames per media sheet (a page bundle, a film
@@ -204,9 +207,9 @@ type SheetReport struct {
 // GroupReport is one outer-code group's slice of RestoreStats, in group
 // order.
 type GroupReport struct {
-	ID        int    // header GroupID
-	Sheet     int    // sheet holding the group (groups never straddle)
-	Kind      string // data, system, parity... the group's section kind
+	ID         int    // header GroupID
+	Sheet      int    // sheet holding the group (groups never straddle)
+	Kind       string // data, system, parity... the group's section kind
 	Frames     int    // data + parity frames
 	Missing    int    // frames the outer code had to supply
 	Recovered  bool   // outer code ran and succeeded

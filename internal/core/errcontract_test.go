@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 func TestErrorTaxonomyTable(t *testing.T) {
 	arch, _ := catalogArchive(t, false)
 	idx, _ := indexedArchive(t, true)
+	idxRaw, _ := indexedArchive(t, false)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -81,6 +83,34 @@ func TestErrorTaxonomyTable(t *testing.T) {
 				return err
 			},
 			wants: []error{context.Canceled}, restore: true,
+		},
+		{
+			// off+length overflows int: the bounds check must not wrap.
+			name: "range/overflow-indexed-compressed",
+			run: func() error {
+				_, _, err := RestoreRange(idx.Volume, idx.BootstrapText, math.MaxInt-10, 100,
+					RestoreOptions{Mode: RestoreNative})
+				return err
+			},
+			restore: true,
+		},
+		{
+			name: "range/overflow-indexed-raw",
+			run: func() error {
+				_, _, err := RestoreRange(idxRaw.Volume, idxRaw.BootstrapText, math.MaxInt-10, 100,
+					RestoreOptions{Mode: RestoreNative})
+				return err
+			},
+			restore: true,
+		},
+		{
+			name: "range/overflow-index-free",
+			run: func() error {
+				_, _, err := RestoreRange(arch.Volume, arch.BootstrapText, math.MaxInt-10, 100,
+					RestoreOptions{Mode: RestoreNative})
+				return err
+			},
+			restore: true,
 		},
 		{
 			name: "table/cancelled-context",

@@ -7,11 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// The frame fan-out machinery shared by the archival and restoration
-// pipelines. Emblem frames are independent by construction (§3.1 — each
-// carries its own header, inner code and outer-code group coordinates), so
-// the per-frame stages (rasterize/encode on the way out, scan/decode on
-// the way back) run on a bounded worker pool. Order never depends on
+// The frame fan-out machinery. Emblem frames are independent by
+// construction (§3.1 — each carries its own header, inner code and
+// outer-code group coordinates), so the per-frame stages run on bounded
+// worker pools: rasterize/encode on the way out (pipelineGroups), and
+// scan/decode on the way back (forEachFrame, under the restore
+// executor's decodeFrames). Order never depends on
 // scheduling: every worker writes only the slot of the frame index it
 // claimed, and the serial stages that follow read the slots in index
 // order. A frame-fatal error cancels the remaining work through the
@@ -38,8 +39,8 @@ func resolveWorkers(n, live int) int {
 // frontier replays out-of-order completions in strict index order: the
 // parallel stage reports indices as they finish, drain walks the
 // contiguous prefix exactly once per index. It is the ordering half of
-// the pipelines' serial tail stages — the restore consumer feeds the
-// group assembler through one, and the archive placer is its
+// the pipelines' serial tail stages — the restore executor's consumer
+// drains one, and the archive placer is its
 // group-granular analogue (the planner emits groups in order, so the
 // placer's frontier is the channel itself).
 type frontier struct {
@@ -76,10 +77,8 @@ func (f *frontier) done() bool { return f.next == len(f.ready) }
 // started call to return before it does. When several frames fail before
 // cancellation lands, the error of the lowest such frame index is
 // returned (which errors got recorded can vary with scheduling; the
-// tie-break among them is deterministic).
-// With workers == 1 (or n <= 1) the frames run strictly serially on the
-// calling goroutine — the reference path the parallel one must match
-// byte-for-byte.
+// tie-break among them is deterministic). With one worker the frames run
+// strictly in index order, so the first failing frame is the one reported.
 func forEachFrame(ctx context.Context, workers, n int, fn func(ctx context.Context, worker, i int) error) error {
 	if n <= 0 {
 		return ctx.Err()
@@ -89,23 +88,12 @@ func forEachFrame(ctx context.Context, workers, n int, fn func(ctx context.Conte
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(ctx, 0, i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	var (
-		next int64 = -1 // atomically claimed frame cursor
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errs = make(map[int]error) // frame index → fatal error
+		next     int64 = -1 // atomically claimed frame cursor
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		first    = n   // lowest failed frame index
+		firstErr error // its error
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -118,7 +106,9 @@ func forEachFrame(ctx context.Context, workers, n int, fn func(ctx context.Conte
 				}
 				if err := fn(ctx, worker, i); err != nil {
 					mu.Lock()
-					errs[i] = err
+					if i < first {
+						first, firstErr = i, err
+					}
 					mu.Unlock()
 					cancel()
 					return
@@ -127,15 +117,8 @@ func forEachFrame(ctx context.Context, workers, n int, fn func(ctx context.Conte
 		}(w)
 	}
 	wg.Wait()
-
-	if len(errs) == 0 {
+	if firstErr == nil {
 		return ctx.Err()
 	}
-	first := -1
-	for i := range errs {
-		if first < 0 || i < first {
-			first = i
-		}
-	}
-	return errs[first]
+	return firstErr
 }

@@ -122,6 +122,30 @@ func encodeStage(ctx context.Context, tasks []frameTask, layout emblem.Layout, w
 	return encodeFrames(ctx, tasks, layout, workers, scratch)
 }
 
+// encodeFrames is the pre-pipeline encode stage: it rasterizes one group
+// plan's frames on the frame pool, each worker writing only frames[i], so
+// the result order matches the plan regardless of scheduling; the first
+// encode error cancels the rest.
+func encodeFrames(ctx context.Context, tasks []frameTask, layout emblem.Layout, workers int, scratch []encScratch) ([]*raster.Gray, error) {
+	frames := make([]*raster.Gray, len(tasks))
+	err := forEachFrame(ctx, workers, len(tasks), func(_ context.Context, worker, i int) error {
+		img, err := scratch[worker].enc.Encode(tasks[i].payload, tasks[i].hdr, layout)
+		if err != nil {
+			kind := "emblem"
+			if tasks[i].hdr.Kind == emblem.KindParity {
+				kind = "parity emblem"
+			}
+			return fmt.Errorf("core: encoding %s: %w", kind, err)
+		}
+		frames[i] = img
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return frames, nil
+}
+
 // splitChunks cuts a stream into capacity-sized chunks (the last may be
 // short). An empty stream still occupies one empty chunk, so every
 // section produces at least one emblem carrying its TotalLen.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -25,26 +24,14 @@ import (
 //	decode:     scan → header + payload, natively or under emulation
 //	reassemble: decoded frames → outer-code groups → streams → DBDecode
 //
-// Scan and decode are fused into one parallel per-frame stage — a scan
-// feeds exactly one decode, so splitting them would only add a buffer of
-// full-resolution frame images between two stages of the same fan-out.
-// Reassembly is group-incremental: a serial consumer walks the frames in
-// global index order as the workers finish them, and the moment a group's
-// last frame is consumed the group is outer-recovered, trimmed and
-// flushed — raw archives stream straight to the caller's io.Writer, and a
-// frame's payload is released as soon as its group closes, so peak memory
-// is bounded by the groups in flight instead of the whole archive. A
-// frame that fails to decode is not an error — that is what the outer
-// code is for — but a frame that cannot even be scanned aborts the run.
-
-// frameResult is the decode stage's per-frame slot.
-type frameResult struct {
-	scanned   bool
-	decoded   bool
-	hdr       emblem.Header
-	payload   []byte
-	corrected int // inner-code corrections (native mode only)
-}
+// Scan and decode run on the Engine's executor (decodeFrames), which hands
+// frames to the reassemble stage in plan order as the workers finish them.
+// Reassembly is group-incremental: the moment a group's last frame is
+// consumed the group is outer-recovered, trimmed and flushed — raw
+// archives stream straight to the caller's io.Writer, and a frame's
+// payload is released as soon as its group closes, so peak memory is
+// bounded by the groups in flight instead of the whole archive. Full
+// restores, queries and salvage all assemble through the same assembler.
 
 // Restore runs the restoration pipeline (Figure 2b) against a scanned
 // medium and the Bootstrap text with default options. It returns the
@@ -59,11 +46,21 @@ func RestoreWithOptions(m *media.Medium, bootstrapText string, ro RestoreOptions
 	return RestoreVolume(media.VolumeOf(m), bootstrapText, ro)
 }
 
-// RestoreVolume restores a multi-sheet volume into memory: RestoreToWriter
-// over a bytes.Buffer.
+// RestoreVolume restores a multi-sheet volume into memory.
 func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	return NewEngine(ro.Workers).RestoreVolume(v, bootstrapText, ro)
+}
+
+// RestoreToWriter restores a volume to w; see Engine.RestoreToWriter.
+func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
+	return NewEngine(ro.Workers).RestoreToWriter(w, v, bootstrapText, ro)
+}
+
+// RestoreVolume restores a multi-sheet volume into memory:
+// RestoreToWriter over a bytes.Buffer.
+func (e *Engine) RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
 	var buf bytes.Buffer
-	st, err := RestoreToWriter(&buf, v, bootstrapText, ro)
+	st, err := e.RestoreToWriter(&buf, v, bootstrapText, ro)
 	if err != nil {
 		return nil, st, err
 	}
@@ -74,189 +71,94 @@ func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]
 // Bootstrap text, writing the restored archive bytes to w. Raw archives
 // stream group by group as their frames decode; compressed archives
 // accumulate only the (small) compressed stream before DBDecode runs. On
-// error, w may already have received a prefix of the output.
-func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
-	return restoreToWriter(w, v, bootstrapText, ro, make([]scanScratch, resolveWorkers(ro.Workers, v.FrameCount())))
-}
-
-// restoreToWriter is RestoreToWriter over caller-owned per-worker scratch
-// (len(scratch) must be at least the resolved worker count): the one-shot entry
-// points allocate fresh scratch per call, an Engine reuses its scratch
-// across calls so a campaign of thousands of trial restores pays the scan
-// buffers and decoder tables once per worker, not once per trial.
-func restoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions, scratch []scanScratch) (*RestoreStats, error) {
+// error, w may already have received a prefix of the output. The options'
+// Workers field is overridden by the engine's pool size; bytes and stats
+// are identical at any worker count.
+func (e *Engine) RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
-	layout := doc.Layout
-	capacity := mocoder.Capacity(layout)
-	st := &RestoreStats{Mode: ro.Mode, Sheets: make([]SheetReport, v.Sheets())}
-
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			return st, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
-		}
+	st := newStats(v, ro.Mode)
+	dec, err := newFrameDecoder(doc, ro.Mode)
+	if err != nil {
+		return st, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
 	}
-
-	n := v.FrameCount()
-	if n == 0 {
+	sheets, plan := volumePlan(v)
+	if len(plan) == 0 {
 		return st, fmt.Errorf("%w: no readable frames", ErrRestore)
-	}
-
-	// Global frame index → sheet, for per-sheet stats and loss reports.
-	sheetOf := make([]int, n)
-	for s, i := 0, 0; s < v.Sheets(); s++ {
-		m, _ := v.Sheet(s)
-		for j := 0; j < m.FrameCount(); j++ {
-			sheetOf[i] = s
-			i++
-		}
 	}
 
 	// Reserved-slot volumes (declared by the Bootstrap's catalog=1 /
 	// index=1): the leading frames of every sheet are out-of-band catalog
 	// and index emblems the group assembler must treat as no group's
 	// members — their loss is not a data loss.
-	var catSlot []bool
-	if reserved := boolInt(doc.Catalog) + boolInt(doc.Index); reserved > 0 {
-		catSlot = make([]bool, n)
-		for s := 0; s < v.Sheets(); s++ {
-			m, _ := v.Sheet(s)
-			if m == nil || m.FrameCount() == 0 {
-				continue
-			}
-			start, _ := v.SheetStart(s)
-			for j := 0; j < reserved && j < m.FrameCount(); j++ {
-				catSlot[start+j] = true
-			}
-		}
+	asm := newAssembler(st, w, mocoder.Capacity(doc.Layout), doc.GroupParity, ro.Partial)
+	reserved := boolInt(doc.Catalog) + boolInt(doc.Index)
+	asm.sheetOf, asm.catSlot = make([]int, len(plan)), make([]bool, len(plan))
+	for i, a := range plan {
+		asm.sheetOf[i], asm.catSlot[i] = a.sheet, a.slot < reserved
 	}
 
-	asm := &assembler{
-		st:          st,
-		capacity:    capacity,
-		groupParity: doc.GroupParity,
-		partial:     ro.Partial,
-		out:         w,
-		sinks:       map[emblem.Kind]*kindSink{},
-		sheetOf:     sheetOf,
-		catSlot:     catSlot,
-		zeros:       make([]byte, capacity),
-		lastClosed:  -1,
+	if err := e.decodeFrames(orBackground(ro.Context), sheets, plan, dec, asm.consume); err != nil {
+		return st, err
 	}
-
-	// Stages 1+2 feed stage 3 incrementally: workers scan and decode
-	// frames in any order; the consumer goroutine drains an ordered
-	// frontier, handing each frame to the group assembler in strict index
-	// order and releasing its payload. The completion channel is sized so
-	// workers never block on a momentarily busy consumer: twice the live
-	// pool plus one group of slack.
-	workers := resolveWorkers(ro.Workers, n)
-	results := make([]frameResult, n)
-	completed := make(chan int, 2*workers+doc.GroupData+doc.GroupParity)
-
-	ctx, cancel := context.WithCancel(orBackground(ro.Context))
-	defer cancel()
-
-	consumerErr := make(chan error, 1)
-	go func() {
-		fr := newFrontier(n)
-		var cerr error
-		for i := range completed {
-			fr.complete(i)
-			fr.drain(func(i int) {
-				if cerr == nil {
-					if cerr = asm.consume(i, &results[i]); cerr != nil {
-						cancel() // stop decoding frames the assembler will never use
-					}
-				}
-				results[i] = frameResult{} // release the payload
-			})
-		}
-		if cerr == nil && fr.done() { // decode completed; close the books
-			cerr = asm.finish()
-		}
-		consumerErr <- cerr
-	}()
-
-	decErr := forEachFrame(ctx, ro.Workers, n, func(_ context.Context, worker, i int) error {
-		sc := &scratch[worker]
-		scan, err := v.ScanFrameInto(&sc.scan, i)
-		if err != nil {
-			return fmt.Errorf("%w: scanning frame %d: %w", ErrRestore, i, err)
-		}
-		res := &results[i]
-		res.scanned = true
-		switch ro.Mode {
-		case RestoreNative:
-			var stats *mocoder.Stats
-			res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, layout)
-			if stats != nil {
-				res.corrected = stats.BytesCorrected
-			}
-		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, layout, ro.Mode)
-		}
-		res.decoded = err == nil
-		completed <- i
-		return nil
-	})
-	close(completed)
-	cerr := <-consumerErr
-	if cerr != nil {
-		return st, cerr
-	}
-	if decErr != nil {
-		if errors.Is(decErr, ErrRestore) {
-			return st, decErr
-		}
-		// Cancellation (or another pipeline error outside the restore
-		// domain): wrap so callers can match either ErrRestore or the
-		// context's error.
-		return st, fmt.Errorf("%w: %w", ErrRestore, decErr)
+	if err := asm.finish(); err != nil {
+		return st, err
 	}
 	return st, decompressTail(w, asm, ro.Mode)
 }
 
+func newStats(v *media.Volume, mode Mode) *RestoreStats {
+	return &RestoreStats{Mode: mode, Sheets: make([]SheetReport, v.Sheets())}
+}
+
 // decompressTail finishes a restore once every group has flushed: raw
 // archives already streamed to w, compressed archives decompress the
-// assembled stream — natively or by executing the archived DBDecode
-// program from the system emblems. Shared between restore and salvage.
+// assembled stream. Shared between restore and salvage.
 func decompressTail(w io.Writer, asm *assembler, mode Mode) error {
 	// The raw section streamed directly to w as its groups closed.
 	if asm.sinks[emblem.KindRaw] != nil {
 		return nil
 	}
-
 	if asm.dataBuf == nil {
 		return fmt.Errorf("%w: no data stream recovered", ErrRestore)
 	}
-	blob := asm.dataBuf.Bytes()
-	var out []byte
-	var err error
-	switch mode {
-	case RestoreNative:
-		if out, err = dbcoder.Decompress(blob); err != nil {
-			return fmt.Errorf("%w: %w", ErrRestore, err)
-		}
-	default:
-		if asm.sysBuf == nil {
-			return fmt.Errorf("%w: system emblems (DBDecode) missing", ErrRestore)
-		}
-		dbProg, err := bootstrap.UnmarshalDynaRisc(asm.sysBuf.Bytes())
-		if err != nil {
-			return fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
-		}
-		if out, err = emulatedDecompress(dbProg, blob, mode); err != nil {
-			return err
-		}
+	decompress, err := dbDecoder(mode, asm.sysBuf)
+	if err != nil {
+		return err
+	}
+	out, err := decompress(asm.dataBuf.Bytes())
+	if err != nil {
+		return err
 	}
 	if _, err := w.Write(out); err != nil {
 		return fmt.Errorf("%w: writing output: %w", ErrRestore, err)
 	}
 	return nil
+}
+
+// dbDecoder returns the DBDecode stage for mode: the Go reference decoder
+// natively, otherwise the archived DBDecode program — reassembled from sys,
+// the system section — executed under emulation.
+func dbDecoder(mode Mode, sys *bytes.Buffer) (func(blob []byte) ([]byte, error), error) {
+	if mode == RestoreNative {
+		return func(blob []byte) ([]byte, error) {
+			out, err := dbcoder.Decompress(blob)
+			if err != nil {
+				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
+			}
+			return out, nil
+		}, nil
+	}
+	if sys == nil {
+		return nil, fmt.Errorf("%w: system emblems (DBDecode) missing", ErrRestore)
+	}
+	prog, err := bootstrap.UnmarshalDynaRisc(sys.Bytes())
+	if err != nil {
+		return nil, fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
+	}
+	return func(blob []byte) ([]byte, error) { return emulatedDecompress(prog, blob, mode) }, nil
 }
 
 // kindSink accumulates one section's recovered stream, trimming at the
@@ -288,13 +190,18 @@ func (s *kindSink) write(b []byte) (int, error) {
 }
 
 // assembler is the group-incremental reassemble stage. It consumes frames
-// in strict global index order and reconstructs the outer-code groups
-// from their headers: a decoded frame at index i with group position p
-// places its group's frames at indices [i-p, i-p+data+parity) — the place
-// stage wrote groups contiguously, so the range is exact, and failed
-// frames inside it are the group's missing members. A run of failed
-// frames no decoded header claims is a wholly-lost range (a destroyed
-// carrier): fatal normally, counted and zero-filled in Partial mode.
+// in strict index order and reconstructs the outer-code groups from their
+// headers: a decoded frame at index i with group position p places its
+// group's frames at indices [i-p, i-p+data+parity) — the place stage wrote
+// groups contiguously, so the range is exact, and failed frames inside it
+// are the group's missing members. A run of failed frames no decoded
+// header claims is a wholly-lost range (a destroyed carrier): fatal
+// normally, counted and zero-filled in Partial mode.
+//
+// A query plans only the groups it selects, so it hands the assembler
+// their extents instead: each planned group opens at its first planned
+// frame whether or not that frame decodes, and a group with no decodable
+// frame is lost on its own rather than merged into a run.
 type assembler struct {
 	st          *RestoreStats
 	capacity    int
@@ -305,9 +212,14 @@ type assembler struct {
 	sysBuf      *bytes.Buffer
 	sinks       map[emblem.Kind]*kindSink
 	sheetOf     []int
-	catSlot     []bool // per-index: reserved catalog slot (nil when catalog off)
+	catSlot     []bool // per-index: a reserved catalog or index slot (nil: none)
 	sums        []catalog.GroupSum
 	zeros       []byte
+
+	// planned, when non-nil, lists a query's selected groups in plan
+	// order; nextPlanned is the next one to open.
+	planned     []groupExtent
+	nextPlanned int
 
 	cur struct {
 		known   bool
@@ -331,7 +243,20 @@ type assembler struct {
 	pendingZeroFrames int
 }
 
-// consume feeds the frame at global index i (frames arrive in strictly
+func newAssembler(st *RestoreStats, out io.Writer, capacity, groupParity int, partial bool) *assembler {
+	return &assembler{
+		st:          st,
+		capacity:    capacity,
+		groupParity: groupParity,
+		partial:     partial,
+		out:         out,
+		sinks:       map[emblem.Kind]*kindSink{},
+		zeros:       make([]byte, capacity),
+		lastClosed:  -1,
+	}
+}
+
+// consume feeds the frame at index i (frames arrive in strictly
 // increasing order) into the group state machine.
 func (a *assembler) consume(i int, res *frameResult) error {
 	sh := &a.st.Sheets[a.sheetOf[i]]
@@ -348,108 +273,104 @@ func (a *assembler) consume(i int, res *frameResult) error {
 		sh.FramesFailed++
 	}
 
-	// Catalog frames are out-of-band: they belong to no outer-code group,
-	// so they never open, join or close one. The first readable catalog
-	// supplies the per-group checksums closeGroup verifies against. A
-	// catalog frame that failed to decode falls through to the ordinary
-	// failed-frame path — the loss arithmetic discounts reserved slots.
-	if ok && res.hdr.Kind == emblem.KindCatalog {
-		a.st.CatalogFrames++
-		if a.sums == nil {
-			if c, err := catalog.Parse(res.payload); err == nil && len(c.Groups) > 0 {
-				a.sums = c.Groups
-			}
-		}
-		return nil
-	}
-
-	// Index frames are likewise out-of-band: the selective-restore index
-	// serves RestoreRange/RestoreTable queries, not a full restore — here
-	// it only needs to stay clear of the group state machine.
-	if ok && res.hdr.Kind == emblem.KindIndex {
-		a.st.IndexFrames++
-		return nil
-	}
-
-	if a.cur.known {
-		end := a.cur.start + a.cur.data + a.cur.parity
-		if ok {
-			pos := i - a.cur.start
-			if int(res.hdr.GroupID) != a.cur.id || int(res.hdr.GroupPos) != pos {
-				// Header disagrees with the group's placement: the frame
-				// decoded but contributes nothing — count it failed so
-				// the loss arithmetic stays consistent.
-				a.st.FramesFailed++
-				sh.FramesFailed++
-			} else {
-				padded := make([]byte, a.capacity)
-				copy(padded, res.payload)
-				a.cur.members[pos] = padded
-				if res.hdr.Kind != emblem.KindParity {
-					a.cur.kind = res.hdr.Kind
-					a.cur.total = res.hdr.TotalLen
+	// Catalog and index frames are out-of-band: they belong to no
+	// outer-code group, so they never open, join or close one. A frame
+	// that failed to decode falls through to the ordinary failed-frame
+	// path — the loss arithmetic discounts reserved slots. A query plans
+	// group frames only; there such a header is a misplaced frame.
+	if ok && a.planned == nil {
+		switch res.hdr.Kind {
+		case emblem.KindCatalog:
+			// The first readable catalog supplies the per-group checksums
+			// closeGroup verifies against.
+			a.st.CatalogFrames++
+			if a.sums == nil {
+				if c, err := catalog.Parse(res.payload); err == nil && len(c.Groups) > 0 {
+					a.sums = c.Groups
 				}
 			}
+			return nil
+		case emblem.KindIndex:
+			// The selective-restore index serves queries, not a full
+			// restore — here it only needs to stay clear of the groups.
+			a.st.IndexFrames++
+			return nil
 		}
-		if i == end-1 {
-			return a.closeGroup()
-		}
-		return nil
 	}
 
-	if !ok {
-		if a.runLen == 0 {
-			a.runStart = i
+	if !a.cur.known && a.nextPlanned < len(a.planned) {
+		g := a.planned[a.nextPlanned]
+		a.nextPlanned++
+		a.open(i, g.id, g.data, g.parity, g.kind)
+	}
+	if !a.cur.known {
+		if !ok {
+			if a.runLen == 0 {
+				a.runStart = i
+			}
+			a.runLen++
+			return nil
 		}
-		a.runLen++
-		return nil
+		// A decoded frame opens (and locates) a new group.
+		start := i - int(res.hdr.GroupPos)
+		size := int(res.hdr.GroupData) + int(res.hdr.GroupParity)
+		if res.hdr.GroupData == 0 || start < 0 || i >= start+size {
+			// A header that cannot describe a group; treat the frame as failed.
+			a.st.FramesFailed++
+			sh.FramesFailed++
+			if a.runLen == 0 {
+				a.runStart = i
+			}
+			a.runLen++
+			return nil
+		}
+		if a.runLen > 0 {
+			if a.runStart < start {
+				// Failed frames before this group's start belong to groups no
+				// surviving frame identifies — carrier loss beyond the outer code.
+				if err := a.lostRange(a.runStart, start-a.runStart, int(res.hdr.GroupID)); err != nil {
+					return err
+				}
+			}
+			// Failed frames inside [start, i) are this group's missing members;
+			// closeGroup counts them as size - len(members).
+			a.runLen = 0
+		}
+		a.open(start, int(res.hdr.GroupID), int(res.hdr.GroupData), int(res.hdr.GroupParity), 0)
 	}
 
-	// A decoded frame opens (and locates) a new group.
-	start := i - int(res.hdr.GroupPos)
-	size := int(res.hdr.GroupData) + int(res.hdr.GroupParity)
-	if res.hdr.GroupData == 0 || start < 0 || i >= start+size {
-		// A header that cannot describe a group; treat the frame as failed.
-		a.st.FramesFailed++
-		sh.FramesFailed++
-		if a.runLen == 0 {
-			a.runStart = i
-		}
-		a.runLen++
-		return nil
-	}
-	if a.runLen > 0 {
-		if a.runStart < start {
-			// Failed frames before this group's start belong to groups no
-			// surviving frame identifies — carrier loss beyond the outer code.
-			if err := a.lostRange(a.runStart, start-a.runStart, int(res.hdr.GroupID)); err != nil {
-				return err
+	if ok {
+		pos := i - a.cur.start
+		if int(res.hdr.GroupID) != a.cur.id || int(res.hdr.GroupPos) != pos {
+			// Header disagrees with the group's placement: the frame
+			// decoded but contributes nothing — count it failed so the
+			// loss arithmetic stays consistent.
+			a.st.FramesFailed++
+			sh.FramesFailed++
+		} else {
+			padded := make([]byte, a.capacity)
+			copy(padded, res.payload)
+			a.cur.members[pos] = padded
+			// A data member reveals the section; a planned group's extent
+			// already fixed it.
+			if res.hdr.Kind != emblem.KindParity && a.planned == nil {
+				a.cur.kind = res.hdr.Kind
+				a.cur.total = res.hdr.TotalLen
 			}
 		}
-		// Failed frames inside [start, i) are this group's missing members;
-		// closeGroup counts them as size - len(members).
-		a.runLen = 0
 	}
-	a.cur.known = true
-	a.cur.id = int(res.hdr.GroupID)
-	a.cur.start = start
-	a.cur.data = int(res.hdr.GroupData)
-	a.cur.parity = int(res.hdr.GroupParity)
-	a.cur.kind = 0
-	a.cur.total = 0
-	a.cur.members = map[int][]byte{}
-	pos := i - start
-	padded := make([]byte, a.capacity)
-	copy(padded, res.payload)
-	a.cur.members[pos] = padded
-	if res.hdr.Kind != emblem.KindParity {
-		a.cur.kind = res.hdr.Kind
-		a.cur.total = res.hdr.TotalLen
-	}
-	if i == start+size-1 {
+	if i == a.cur.start+a.cur.data+a.cur.parity-1 {
 		return a.closeGroup()
 	}
 	return nil
+}
+
+// open starts the group whose data+parity frames begin at index start.
+func (a *assembler) open(start, id, data, parity int, kind emblem.Kind) {
+	a.cur.known = true
+	a.cur.id, a.cur.start, a.cur.data, a.cur.parity = id, start, data, parity
+	a.cur.kind, a.cur.total = kind, 0
+	a.cur.members = map[int][]byte{}
 }
 
 // closeGroup recovers and flushes the current group the moment its last
@@ -506,14 +427,7 @@ func (a *assembler) closeGroup() error {
 			rep.Lost = true
 			a.st.GroupsLost++
 			sh.GroupsLost++
-			for pos := 0; pos < a.cur.data; pos++ {
-				n, err := sink.write(a.zeros)
-				if err != nil {
-					return err
-				}
-				a.st.BytesLost += n
-			}
-			return nil
+			return a.zeroFill(sink, a.cur.data)
 		}
 		rep.Recovered = true
 		a.st.GroupsRecovered++
@@ -559,13 +473,8 @@ func (a *assembler) lostRange(start, n, nextID int) error {
 		// never a restore failure.
 		return nil
 	}
-	if !a.partial {
-		return fmt.Errorf("%w: frames %d..%d unreadable and no group identifiable (carrier loss beyond parity)",
-			ErrRestore, start, start+n-1)
-	}
-	a.st.FramesLost += n
-	for i := start; i < start+n; i++ {
-		a.st.Sheets[a.sheetOf[i]].FramesLost++
+	if err := a.lostFrames(start, n); err != nil {
+		return err
 	}
 	if lostGroups <= 0 {
 		return nil // incoherent ids; the frames are already counted
@@ -592,6 +501,21 @@ func (a *assembler) lostRange(start, n, nextID int) error {
 	// spans a section boundary the fill past the section's TotalLen is
 	// trimmed away and finish pads the following section instead.
 	return a.fillLost(n - nCat - lostGroups*a.groupParity)
+}
+
+// lostFrames counts frames [start, start+n) as lost: they failed to
+// decode and no group identifies them — carrier loss beyond the outer
+// code, fatal unless Partial.
+func (a *assembler) lostFrames(start, n int) error {
+	if !a.partial {
+		return fmt.Errorf("%w: frames %d..%d unreadable and no group identifiable (carrier loss beyond parity)",
+			ErrRestore, start, start+n-1)
+	}
+	a.st.FramesLost += n
+	for i := start; i < start+n; i++ {
+		a.st.Sheets[a.sheetOf[i]].FramesLost++
+	}
+	return nil
 }
 
 // catalogSlots counts the reserved catalog slots in [start, start+n) —
@@ -631,8 +555,14 @@ func (a *assembler) fillLost(n int) error {
 		a.pendingZeroFrames = n
 		return nil
 	}
+	return a.zeroFill(sink, n)
+}
+
+// zeroFill writes n frames' worth of zeros to a section sink (trimmed at
+// its TotalLen) and counts them as lost bytes.
+func (a *assembler) zeroFill(s *kindSink, n int) error {
 	for f := 0; f < n; f++ {
-		w, err := sink.write(a.zeros)
+		w, err := s.write(a.zeros)
 		if err != nil {
 			return err
 		}
@@ -654,13 +584,8 @@ func (a *assembler) finish() error {
 		// Trailing failed frames no group claims: there is no next group
 		// id, so the group arithmetic is unavailable; the per-sink pad
 		// below restores the output length.
-		if !a.partial {
-			return fmt.Errorf("%w: frames %d..%d unreadable and no group identifiable (carrier loss beyond parity)",
-				ErrRestore, a.runStart, a.runStart+a.runLen-1)
-		}
-		a.st.FramesLost += a.runLen
-		for i := a.runStart; i < a.runStart+a.runLen; i++ {
-			a.st.Sheets[a.sheetOf[i]].FramesLost++
+		if err := a.lostFrames(a.runStart, a.runLen); err != nil {
+			return err
 		}
 		a.runLen = 0
 	}
@@ -675,15 +600,8 @@ func (a *assembler) finish() error {
 		if !a.partial {
 			return fmt.Errorf("%w: no data stream recovered (%d of %d bytes)", ErrRestore, s.written, s.total)
 		}
-		for s.written < s.total {
-			n, err := s.write(a.zeros)
-			if err != nil {
-				return err
-			}
-			if n == 0 {
-				break
-			}
-			a.st.BytesLost += n
+		if err := a.zeroFill(s, (s.total-s.written+a.capacity-1)/a.capacity); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -763,22 +681,6 @@ func verifyDBDecodeOutput(blob, out []byte) error {
 		return fmt.Errorf("%w: emulated DBDecode output: %w", ErrRestore, err)
 	}
 	return nil
-}
-
-// scanScratch is one restore worker's reusable state for the fused
-// scan+decode stage: the media scan buffers (the full-resolution frame
-// images the scanner simulation renders through), the native decoder's
-// per-frame scratch, and the emulated modes' machine state. Each worker
-// id owns exactly one goroutine for a run (see forEachFrame), so the
-// scratch is reused serially without locks — a steady-state native frame
-// decode allocates only its payload and stats, and the scan stage is down
-// to a handful of small per-frame allocations (the distortion RNG and the
-// blur/warp lookup tables) instead of two or three full-resolution
-// images.
-type scanScratch struct {
-	scan media.ScanScratch
-	dec  mocoder.DecodeScratch
-	emu  emuScratch
 }
 
 // emuScratch is one worker's reusable emulator state for the emulated

@@ -84,48 +84,34 @@ func Salvage(sheets []*media.Medium, opts SalvageOptions) ([]byte, *SalvageRepor
 	return buf.Bytes(), rep, nil
 }
 
-// SalvageTo restores an unordered bag of sheets to w, best-effort, with
-// no external bootstrap text. On error, w may hold a prefix of the
-// output; the report — returned alongside most errors — still carries
-// the identification ledger.
+// SalvageTo restores an unordered bag of sheets to w; see Engine.SalvageTo.
 func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
-	n := 0
-	for _, m := range sheets {
-		if m != nil {
-			n += m.FrameCount()
-		}
-	}
-	return salvageToWriter(w, sheets, opts, make([]scanScratch, resolveWorkers(opts.Workers, n)))
-}
-
-// SalvageTo is core.SalvageTo through the engine's reused scratch.
-func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
-	opts.Workers = e.workers
-	return salvageToWriter(w, sheets, opts, e.scratch)
-}
-
-// bagFrame addresses one frame of the presented bag.
-type bagFrame struct {
-	sheet, local int
+	return NewEngine(opts.Workers).SalvageTo(w, sheets, opts)
 }
 
 // bagSheet is one presented sheet's identification state.
 type bagSheet struct {
-	present int               // position in the bag
-	frames  int               // frames on the sheet
-	decoded int               // frames that decoded (any kind)
-	cat     *catalog.Catalog  // the sheet's own catalog, when readable
-	offset  int               // planner offset v: frame at local j holds global planner index v+j
+	present int              // position in the bag
+	frames  int              // frames on the sheet
+	decoded int              // frames that decoded (any kind)
+	cat     *catalog.Catalog // the sheet's own catalog, when readable
+	offset  int              // planner offset v: frame at local j holds global planner index v+j
 	hasOff  bool
 	ordinal int // original sheet ordinal; -1 unknown
 }
 
-func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, scratch []scanScratch) (*SalvageReport, error) {
+// SalvageTo restores an unordered bag of sheets to w, best-effort, with
+// no external bootstrap text. On error, w may hold a prefix of the
+// output; the report — returned alongside most errors — still carries
+// the identification ledger. The options' Workers field is overridden by
+// the engine's pool size.
+func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
 	rep := &SalvageReport{SheetsPresented: len(sheets)}
 	ctx := orBackground(opts.Context)
 
+	// The frame plan: every frame of every bag sheet, in bag order.
 	var layout emblem.Layout
-	var frames []bagFrame
+	var frames []frameAddr
 	for s, m := range sheets {
 		if m == nil || m.FrameCount() == 0 {
 			continue
@@ -134,7 +120,7 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 			layout = m.Profile().Layout
 		}
 		for j := 0; j < m.FrameCount(); j++ {
-			frames = append(frames, bagFrame{s, j})
+			frames = append(frames, frameAddr{s, j})
 		}
 	}
 	if len(frames) == 0 {
@@ -148,28 +134,15 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 	// Identify: scan and natively decode every frame of every sheet. The
 	// emblem geometry is a physical property of the artifact (and is
 	// restated in every catalog frame), so no bootstrap is needed to read
-	// headers. A frame that fails to scan or decode is damage to recover
-	// from, never an abort.
+	// headers. A frame that fails to decode is damage to recover from,
+	// never an abort.
 	results := make([]frameResult, len(frames))
-	decErr := forEachFrame(ctx, opts.Workers, len(frames), func(_ context.Context, worker, i int) error {
-		sc := &scratch[worker]
-		m := sheets[frames[i].sheet]
-		scan, err := m.ScanFrameInto(&sc.scan, frames[i].local)
-		if err != nil {
-			return nil // unreadable frame, not a pipeline failure
-		}
-		res := &results[i]
-		res.scanned = true
-		var stats *mocoder.Stats
-		res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, layout)
-		if stats != nil {
-			res.corrected = stats.BytesCorrected
-		}
-		res.decoded = err == nil
+	keep := func(k int, res *frameResult) error {
+		results[k] = *res
 		return nil
-	})
-	if decErr != nil {
-		return rep, fmt.Errorf("%w: %w", ErrRestore, decErr)
+	}
+	if err := e.decodeFrames(ctx, sheets, frames, &frameDecoder{mode: RestoreNative, layout: layout}, keep); err != nil {
+		return rep, err
 	}
 
 	// Per-sheet identification: parse catalogs, vote planner offsets.
@@ -219,7 +192,7 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 	if catalogOn {
 		nTotal = best.TotalFrames - best.SheetCount*reserved
 	}
-	planner := placeFrames(kept, frames, results, sheets, reserved, &nTotal)
+	planner := placeFrames(kept, frames, results, reserved, &nTotal)
 	if nTotal <= 0 {
 		return rep, fmt.Errorf("%w: no readable frames", ErrRestore)
 	}
@@ -266,27 +239,22 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 		for _, ks := range kept {
 			keptPresent[ks.present] = true
 		}
-		redoErr := forEachFrame(ctx, opts.Workers, len(frames), func(_ context.Context, worker, i int) error {
-			res := &results[i]
-			if !res.scanned || !keptPresent[frames[i].sheet] {
-				return nil
+		var redo []int // bag frame indices to re-decode
+		var plan []frameAddr
+		for k, a := range frames {
+			if keptPresent[a.sheet] {
+				redo = append(redo, k)
+				plan = append(plan, a)
 			}
-			sc := &scratch[worker]
-			m := sheets[frames[i].sheet]
-			scan, err := m.ScanFrameInto(&sc.scan, frames[i].local)
-			if err != nil {
-				res.scanned, res.decoded = false, false
-				return nil
-			}
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, layout, opts.Mode)
-			res.decoded = err == nil
-			res.corrected = 0
-			return nil
-		})
-		if redoErr != nil {
-			return rep, fmt.Errorf("%w: %w", ErrRestore, redoErr)
 		}
-		planner = placeFrames(kept, frames, results, sheets, reserved, &nTotal)
+		dec := &frameDecoder{mode: opts.Mode, layout: layout, moProg: moProg}
+		if err := e.decodeFrames(ctx, sheets, plan, dec, func(j int, res *frameResult) error {
+			results[redo[j]] = *res
+			return nil
+		}); err != nil {
+			return rep, err
+		}
+		planner = placeFrames(kept, frames, results, reserved, &nTotal)
 	} else if best != nil {
 		if _, err := best.BootstrapDoc(); err == nil {
 			rep.BootstrapRecovered = true
@@ -294,7 +262,6 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 	}
 
 	// Best-effort group assembly over the reconstructed frame space.
-	gp := groupParityOf(best, results)
 	numSheets := rep.SheetCount
 	if numSheets <= 0 {
 		numSheets = 1
@@ -302,17 +269,8 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 	st := &RestoreStats{Mode: opts.Mode, Sheets: make([]SheetReport, numSheets)}
 	st.CatalogFrames = rep.CatalogFrames
 	st.IndexFrames = rep.IndexFrames
-	asm := &assembler{
-		st:          st,
-		capacity:    capacity,
-		groupParity: gp,
-		partial:     true,
-		out:         w,
-		sinks:       map[emblem.Kind]*kindSink{},
-		sheetOf:     plannerSheetOf(nTotal, numSheets, kept, best, reserved),
-		zeros:       make([]byte, capacity),
-		lastClosed:  -1,
-	}
+	asm := newAssembler(st, w, capacity, groupParityOf(best, results), true)
+	asm.sheetOf = plannerSheetOf(nTotal, numSheets, kept, best, reserved)
 	if best != nil {
 		asm.sums = best.Groups
 	}
@@ -320,7 +278,7 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 	for i := 0; i < nTotal && asmErr == nil; i++ {
 		// The assembly leg is serial; honor cancellation between groups so
 		// a salvage of a large bag aborts promptly (the scan/decode legs
-		// already stop through forEachFrame).
+		// already stop inside decodeFrames).
 		if i%(mocoder.GroupData+mocoder.GroupParity) == 0 && ctx.Err() != nil {
 			asmErr = fmt.Errorf("%w: %w", ErrRestore, ctx.Err())
 			break
@@ -347,7 +305,7 @@ func salvageToWriter(w io.Writer, sheets []*media.Medium, opts SalvageOptions, s
 // the decoded frames: its catalog (if one decoded) and the majority vote
 // over planner offsets — every decoded frame at local position j with
 // header index idx claims its sheet starts the planner space at idx-j.
-func identifySheets(sheets []*media.Medium, frames []bagFrame, results []frameResult) []*bagSheet {
+func identifySheets(sheets []*media.Medium, frames []frameAddr, results []frameResult) []*bagSheet {
 	bag := make([]*bagSheet, len(sheets))
 	votes := make([]map[int]int, len(sheets))
 	for i, bf := range frames {
@@ -373,7 +331,7 @@ func identifySheets(sheets []*media.Medium, frames []bagFrame, results []frameRe
 		if res.hdr.Kind == emblem.KindIndex {
 			continue // out-of-band: its header Index is a sheet ordinal, not a planner position
 		}
-		votes[bf.sheet][int(res.hdr.Index)-bf.local]++
+		votes[bf.sheet][int(res.hdr.Index)-bf.slot]++
 	}
 	for s, bs := range bag {
 		if bs == nil {
@@ -522,7 +480,7 @@ func resolveAndDedupe(bag []*bagSheet, best *catalog.Catalog, reserved int) (kep
 // scanned even when their frame failed to decode, so the loss ledger
 // distinguishes damaged-but-present from absent. nTotal grows to fit when
 // the catalog did not state it.
-func placeFrames(kept []*bagSheet, frames []bagFrame, results []frameResult, sheets []*media.Medium, reserved int, nTotal *int) []frameResult {
+func placeFrames(kept []*bagSheet, frames []frameAddr, results []frameResult, reserved int, nTotal *int) []frameResult {
 	keptSet := map[int]*bagSheet{}
 	for _, ks := range kept {
 		if ks.hasOff {
@@ -551,10 +509,10 @@ func placeFrames(kept []*bagSheet, frames []bagFrame, results []frameResult, she
 			continue
 		}
 		// Skip the reserved slots even when they failed to decode.
-		if bf.local < reserved {
+		if bf.slot < reserved {
 			continue
 		}
-		pi := ks.offset + bf.local
+		pi := ks.offset + bf.slot
 		if pi < 0 || pi >= *nTotal {
 			continue
 		}

@@ -5,9 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
-	"microlonys/dynarisc"
 	"microlonys/internal/archindex"
 	"microlonys/internal/bootstrap"
 	"microlonys/internal/catalog"
@@ -29,10 +29,9 @@ import (
 //	          requested raw range onto the archived stream (directly for
 //	          raw archives, through the DBS1 restart-block table for
 //	          compressed ones)
-//	decode:   scan and decode only the overlapping groups' frames — whole
-//	          sheets outside the query never see a ScanFrameInto call —
-//	          then assemble each group with the same outer-code arithmetic
-//	          a full restore uses
+//	decode:   plan only the overlapping groups' frames for the Engine's
+//	          executor — whole sheets outside the query are never scanned —
+//	          and assemble them through the full restore's assembler
 //	finish:   decompress only the overlapping restart blocks and trim to
 //	          the exact byte range
 //
@@ -43,23 +42,58 @@ import (
 // RestoreStats.IndexFallbacks), so a selective query never fails where a
 // full restore would succeed.
 
-// errIndexGeometry reports an index whose derived geometry contradicts
-// the volume in hand (damaged, stale or forged): the caller falls back to
-// the full scan path.
-var errIndexGeometry = errors.New("core: index geometry contradicts the volume")
+// errIndexMiss reports that the index cannot answer a query: its derived
+// geometry contradicts the volume in hand (damaged, stale or forged), or
+// its section table does not list the name. The caller falls back to a
+// full restore.
+var errIndexMiss = errors.New("core: the index cannot answer the query")
+
+// RestoreRange restores bytes [off, off+length) of the original archive;
+// see Engine.RestoreRange.
+func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	return NewEngine(ro.Workers).RestoreRange(v, bootstrapText, off, length, ro)
+}
+
+// RestoreSection restores one named section; see Engine.RestoreSection.
+func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	return NewEngine(ro.Workers).RestoreSection(v, bootstrapText, name, ro)
+}
+
+// RestoreTable restores one SQL-dump table's rows region by name. It is
+// RestoreSection under the table-name convention.
+func RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	return NewEngine(ro.Workers).RestoreSection(v, bootstrapText, table, ro)
+}
+
+// ListIndex reads the volume's selective-restore index; see
+// Engine.ListIndex.
+func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
+	return NewEngine(ro.Workers).ListIndex(v, bootstrapText, ro)
+}
 
 // RestoreRange restores exactly bytes [off, off+length) of the original
 // archive from an indexed volume, scanning only the frames the range
 // touches. The bytes are identical to the same slice of a full Restore.
 // Volumes without a usable index fall back to a full restore.
-func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return restoreRange(v, bootstrapText, off, length, ro, make([]scanScratch, resolveWorkers(ro.Workers, v.FrameCount())))
-}
-
-// RestoreRange is core.RestoreRange through the engine's reused scratch.
 func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	ro.Workers = e.workers
-	return restoreRange(v, bootstrapText, off, length, ro, e.scratch)
+	if off < 0 || length < 0 {
+		return nil, nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
+	}
+	// Compared without adding: off+length may overflow.
+	inside := func(size int) error {
+		if length > size-off {
+			return fmt.Errorf("%w: range %d:%d beyond archive of %d bytes", ErrRestore, off, length, size)
+		}
+		return nil
+	}
+	return e.query(v, bootstrapText, ro,
+		func(x *archindex.Index) (int, int, error) { return off, length, inside(x.RawLen) },
+		func(data []byte) ([]byte, error) {
+			if err := inside(len(data)); err != nil {
+				return nil, err
+			}
+			return data[off : off+length], nil
+		})
 }
 
 // RestoreSection restores one named section of the archive — a SQL-dump
@@ -67,23 +101,18 @@ func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length
 // through the index's section table. A column restores its minimal
 // contiguous cover: the owning table's whole rows region. Names the index
 // cannot resolve fall back to a full restore and are located there.
-func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return restoreSection(v, bootstrapText, name, ro, make([]scanScratch, resolveWorkers(ro.Workers, v.FrameCount())))
-}
-
-// RestoreSection is core.RestoreSection through the engine's reused scratch.
 func (e *Engine) RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	ro.Workers = e.workers
-	return restoreSection(v, bootstrapText, name, ro, e.scratch)
+	return e.query(v, bootstrapText, ro,
+		func(x *archindex.Index) (int, int, error) {
+			if sec, ok := x.Lookup(name); ok {
+				return sec.Off, sec.Len, nil
+			}
+			return 0, 0, errIndexMiss // a trimmed section table or an unknown name
+		},
+		func(data []byte) ([]byte, error) { return locateSection(data, name) })
 }
 
-// RestoreTable restores one SQL-dump table's rows region by name. It is
-// RestoreSection under the table-name convention.
-func RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return RestoreSection(v, bootstrapText, table, ro)
-}
-
-// RestoreTable is core.RestoreTable through the engine's reused scratch.
+// RestoreTable is RestoreSection under the table-name convention.
 func (e *Engine) RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
 	return e.RestoreSection(v, bootstrapText, table, ro)
 }
@@ -92,80 +121,13 @@ func (e *Engine) RestoreTable(v *media.Volume, bootstrapText, table string, ro R
 // identity, geometry, restart blocks, named sections — without decoding
 // any payload group. There is no full-restore fallback: a volume with no
 // readable index reports ErrRestore.
-func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
-	return listIndex(v, bootstrapText, ro, make([]scanScratch, 1))
-}
-
-// ListIndex is core.ListIndex through the engine's reused scratch.
 func (e *Engine) ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
-	ro.Workers = e.workers
-	return listIndex(v, bootstrapText, ro, e.scratch)
-}
-
-func restoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
-	if off < 0 || length < 0 {
-		return nil, nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
-	}
-	st := newSelectStats(v, ro)
-	ctx := orBackground(ro.Context)
-	x, err := readIndex(ctx, v, doc, ro, scratch, st)
-	if err != nil {
-		return nil, st, err
-	}
-	if x != nil {
-		if off+length > x.RawLen {
-			return nil, st, fmt.Errorf("%w: range %d:%d beyond archive of %d bytes", ErrRestore, off, length, x.RawLen)
-		}
-		out, err := selectiveRange(ctx, v, doc, x, off, length, ro, scratch, st)
-		if err == nil {
-			return out, st, nil
-		}
-		if !errors.Is(err, errIndexGeometry) {
-			return nil, st, err
-		}
-	}
-	return rangeFallback(v, bootstrapText, off, length, ro, scratch)
-}
-
-func restoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
-	}
-	st := newSelectStats(v, ro)
-	ctx := orBackground(ro.Context)
-	x, err := readIndex(ctx, v, doc, ro, scratch, st)
-	if err != nil {
-		return nil, st, err
-	}
-	if x != nil {
-		if sec, ok := x.Lookup(name); ok {
-			out, err := selectiveRange(ctx, v, doc, x, sec.Off, sec.Len, ro, scratch, st)
-			if err == nil {
-				return out, st, nil
-			}
-			if !errors.Is(err, errIndexGeometry) {
-				return nil, st, err
-			}
-		}
-		// A trimmed section table, an unknown name or a geometry
-		// contradiction: the full restore resolves all three (and is the
-		// arbiter of whether the name exists at all).
-	}
-	return sectionFallback(v, bootstrapText, name, ro, scratch)
-}
-
-func listIndex(v *media.Volume, bootstrapText string, ro RestoreOptions, scratch []scanScratch) (*archindex.Index, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
-	}
-	st := newSelectStats(v, ro)
-	x, err := readIndex(orBackground(ro.Context), v, doc, ro, scratch, st)
+	st := newStats(v, ro.Mode)
+	x, err := e.readIndex(orBackground(ro.Context), v, doc, ro.Mode, st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -176,8 +138,73 @@ func listIndex(v *media.Volume, bootstrapText string, ro RestoreOptions, scratch
 	return x, st, nil
 }
 
-func newSelectStats(v *media.Volume, ro RestoreOptions) *RestoreStats {
-	return &RestoreStats{Mode: ro.Mode, Sheets: make([]SheetReport, v.Sheets())}
+// query answers a range or section query: resolve maps the volume's index
+// to the query's raw byte extent, and selectiveRange decodes only the
+// groups that extent touches. When the index cannot answer — none is
+// readable, resolve or the geometry reports errIndexMiss — the query
+// falls back to a full restore and locate finds the answer in the
+// restored bytes, so a query never fails where a full restore would
+// succeed.
+func (e *Engine) query(v *media.Volume, bootstrapText string, ro RestoreOptions,
+	resolve func(*archindex.Index) (off, length int, err error), locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
+	doc, err := bootstrap.Parse(bootstrapText)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
+	}
+	st := newStats(v, ro.Mode)
+	ctx := orBackground(ro.Context)
+	x, err := e.readIndex(ctx, v, doc, ro.Mode, st)
+	if err != nil {
+		return nil, st, err
+	}
+	if x != nil {
+		off, length, err := resolve(x)
+		if err == nil {
+			var out []byte
+			if out, err = e.selectiveRange(ctx, v, doc, x, off, length, ro, st); err == nil {
+				return out, st, nil
+			}
+		}
+		if !errors.Is(err, errIndexMiss) {
+			return nil, st, err
+		}
+	}
+	return e.fullRestoreLocate(v, bootstrapText, ro, locate)
+}
+
+// fullRestoreLocate answers a query the index could not: a full restore,
+// counted in IndexFallbacks, then locate finds the answer in the restored
+// bytes.
+func (e *Engine) fullRestoreLocate(v *media.Volume, bootstrapText string, ro RestoreOptions, locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
+	var buf bytes.Buffer
+	st, err := e.RestoreToWriter(&buf, v, bootstrapText, ro)
+	st.IndexFallbacks++
+	if err != nil {
+		return nil, st, err
+	}
+	out, err := locate(buf.Bytes())
+	if err != nil {
+		return nil, st, err
+	}
+	return append([]byte(nil), out...), st, nil
+}
+
+// locateSection finds a table or column section in a restored SQL dump.
+func locateSection(data []byte, name string) ([]byte, error) {
+	secs, err := sqldump.Sections(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: locating %q: %w", ErrRestore, name, err)
+	}
+	table, column := name, ""
+	if i := strings.IndexByte(name, '.'); i > 0 {
+		table, column = name[:i], name[i+1:]
+	}
+	for _, s := range secs {
+		if s.Table == name || (column != "" && s.Table == table && slices.Contains(s.Columns, column)) {
+			return data[s.Off : s.Off+s.Len], nil
+		}
+	}
+	return nil, fmt.Errorf("%w: no table or column %q in the archive", ErrRestore, name)
 }
 
 // readIndex probes the volume's reserved index slots sheet by sheet until
@@ -186,114 +213,80 @@ func newSelectStats(v *media.Volume, ro RestoreOptions) *RestoreStats {
 // slot is unreadable it tries the catalog's compressed index replica.
 // Returns nil — with RestoreStats.IndexFallbacks counted — when no usable
 // index exists; the caller falls back to a full restore. The only error is
-// cancellation: each sheet probe checks ctx so a query on a large damaged
-// volume aborts between frame scans, wrapping ErrRestore and the context's
-// error.
-func readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, ro RestoreOptions, scratch []scanScratch, st *RestoreStats) (*archindex.Index, error) {
-	if !doc.Index {
+// cancellation, wrapping ErrRestore and the context's error: each probe
+// checks ctx, so a query on a large damaged volume aborts between frame
+// scans.
+func (e *Engine) readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, mode Mode, st *RestoreStats) (*archindex.Index, error) {
+	var dec *frameDecoder
+	if doc.Index {
+		dec, _ = newFrameDecoder(doc, mode) // nil when MODecode is unreadable
+	}
+	if dec == nil {
 		st.IndexFallbacks++
 		return nil, nil
 	}
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		var err error
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			st.IndexFallbacks++
-			return nil, nil
-		}
-	}
-	sc := &scratch[0]
-	slot := boolInt(doc.Catalog) // the index slot follows the catalog slot
-	for s := 0; s < v.Sheets(); s++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-		}
-		m, err := v.Sheet(s)
-		if err != nil || m.FrameCount() <= slot {
-			continue
-		}
-		start, err := v.SheetStart(s)
-		if err != nil {
-			continue
-		}
-		payload, hdr, ok := probeFrame(v, start+slot, s, ro.Mode, moProg, doc.Layout, sc, st)
-		if !ok || hdr.Kind != emblem.KindIndex {
-			continue
-		}
-		if x, err := archindex.Parse(payload); err == nil {
-			st.IndexFrames++
-			return x, nil
-		}
-	}
-	if doc.Catalog {
-		for s := 0; s < v.Sheets(); s++ {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-			}
-			m, err := v.Sheet(s)
-			if err != nil || m.FrameCount() == 0 {
+	sheets, _ := volumePlan(v)
+	// probe scans and decodes one reserved slot of every sheet that has it,
+	// tallying each probe like the full pipeline would, until parse accepts
+	// a frame of the wanted kind.
+	probe := func(slot int, kind emblem.Kind, parse func([]byte) (*archindex.Index, error)) (*archindex.Index, error) {
+		for s, m := range sheets {
+			if m.FrameCount() <= slot {
 				continue
 			}
-			start, err := v.SheetStart(s)
-			if err != nil {
+			var res frameResult
+			keep := func(_ int, r *frameResult) error { res = *r; return nil }
+			if err := e.decodeFrames(ctx, sheets, []frameAddr{{s, slot}}, dec, keep); err != nil {
+				return nil, err
+			}
+			st.FramesScanned++
+			st.Sheets[s].Frames++
+			if !res.decoded {
+				st.FramesFailed++
+				st.Sheets[s].FramesFailed++
 				continue
 			}
-			payload, hdr, ok := probeFrame(v, start, s, ro.Mode, moProg, doc.Layout, sc, st)
-			if !ok || hdr.Kind != emblem.KindCatalog {
+			if res.hdr.Kind != kind {
 				continue
 			}
-			c, err := catalog.Parse(payload)
-			if err != nil || len(c.IndexReplica) == 0 {
-				continue
-			}
-			if x, err := archindex.Parse(c.IndexReplica); err == nil {
-				st.CatalogFrames++
+			if x, err := parse(res.payload); err == nil {
 				return x, nil
 			}
 		}
+		return nil, nil
 	}
-	st.IndexFallbacks++
-	return nil, nil
-}
 
-// probeFrame scans and decodes one frame serially, tallying it like the
-// full pipeline would.
-func probeFrame(v *media.Volume, i, sheet int, mode Mode, moProg *dynarisc.Program, layout emblem.Layout, sc *scanScratch, st *RestoreStats) ([]byte, emblem.Header, bool) {
-	scan, err := v.ScanFrameInto(&sc.scan, i)
-	if err != nil {
-		return nil, emblem.Header{}, false
+	slot := boolInt(doc.Catalog) // the index slot follows the catalog slot
+	x, err := probe(slot, emblem.KindIndex, archindex.Parse)
+	if x != nil {
+		st.IndexFrames++
 	}
-	st.FramesScanned++
-	if sheet < len(st.Sheets) {
-		st.Sheets[sheet].Frames++
-	}
-	var payload []byte
-	var hdr emblem.Header
-	switch mode {
-	case RestoreNative:
-		payload, hdr, _, err = mocoder.DecodeWith(&sc.dec, scan, layout)
-	default:
-		payload, hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, layout, mode)
-	}
-	if err != nil {
-		st.FramesFailed++
-		if sheet < len(st.Sheets) {
-			st.Sheets[sheet].FramesFailed++
+	if x == nil && err == nil && doc.Catalog {
+		x, err = probe(0, emblem.KindCatalog, func(p []byte) (*archindex.Index, error) {
+			c, err := catalog.Parse(p)
+			if err != nil {
+				return nil, err
+			}
+			return archindex.Parse(c.IndexReplica) // a trimmed replica fails to parse
+		})
+		if x != nil {
+			st.CatalogFrames++
 		}
-		return nil, emblem.Header{}, false
 	}
-	return payload, hdr, true
+	if x == nil && err == nil {
+		st.IndexFallbacks++
+	}
+	return x, err
 }
 
 // groupExtent is one outer-code group's derived physical placement: its
-// id and shape, the stream extent it carries, the sheet it landed on and
-// the global scan-space index of its first frame.
+// id and shape, the stream extent it carries, and the global scan-space
+// index of its first frame.
 type groupExtent struct {
 	id             int
 	kind           emblem.Kind
 	data, parity   int
 	secOff, secLen int // byte extent within the group's section stream
-	sheet          int
 	scanStart      int // global frame index of the group's first frame
 }
 
@@ -302,16 +295,16 @@ type groupExtent struct {
 // every group's physical extent — the index stores parameters, not
 // tables. The derived frame and sheet totals are checked against the
 // volume in hand; a contradiction (a damaged or stale index) reports
-// errIndexGeometry so the caller falls back to a full restore.
+// errIndexMiss so the caller falls back to a full restore.
 func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExtent, error) {
 	if capacity <= 0 || x.GroupData <= 0 {
-		return nil, errIndexGeometry
+		return nil, errIndexMiss
 	}
 	reserved := 1 + boolInt(x.CatalogSlot) // the index slot plus the optional catalog slot
 	bounded := x.SheetFrames > 0
 	usable := x.SheetFrames - reserved
 	if bounded && usable <= 0 {
-		return nil, errIndexGeometry
+		return nil, errIndexMiss
 	}
 	type sec struct {
 		kind  emblem.Kind
@@ -341,7 +334,7 @@ func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExt
 			size := g + x.GroupParity
 			if bounded {
 				if size > usable {
-					return nil, errIndexGeometry
+					return nil, errIndexMiss
 				}
 				if fill+size > usable {
 					sheetStartScan += reserved + fill
@@ -357,7 +350,7 @@ func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExt
 			out = append(out, groupExtent{
 				id: gid, kind: s.kind, data: g, parity: x.GroupParity,
 				secOff: secOff, secLen: secEnd - secOff,
-				sheet: sheet, scanStart: sheetStartScan + reserved + fill,
+				scanStart: sheetStartScan + reserved + fill,
 			})
 			fill += size
 			gid++
@@ -365,16 +358,16 @@ func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExt
 		}
 	}
 	if sheetStartScan+reserved+fill != v.FrameCount() || sheet+1 != v.Sheets() {
-		return nil, errIndexGeometry
+		return nil, errIndexMiss
 	}
 	return out, nil
 }
 
 // selectiveRange restores raw bytes [off, off+length) through the index:
-// computes the minimal closed set of groups, scans and decodes only their
-// frames, assembles them with the full restore's outer-code arithmetic
-// and decompresses only the overlapping restart blocks.
-func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, scratch []scanScratch, st *RestoreStats) ([]byte, error) {
+// it selects the minimal closed set of groups, plans only their frames,
+// assembles them through the full restore's assembler — each group opened
+// from its extent — and decompresses only the overlapping restart blocks.
+func (e *Engine) selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, st *RestoreStats) ([]byte, error) {
 	capacity := mocoder.Capacity(doc.Layout)
 	geo, err := planGeometry(x, capacity, v)
 	if err != nil {
@@ -390,11 +383,11 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	// range overlaps — or, with the block table trimmed from the index,
 	// the whole stream (still skipping nothing but, under native mode, the
 	// system groups).
-	kind := emblem.KindRaw
+	kind, total := emblem.KindRaw, x.RawLen
 	spanOff, spanLen := off, length
 	var blocks []dbcoder.SeekBlock
 	if x.Compress {
-		kind = emblem.KindData
+		kind, total = emblem.KindData, x.StreamLen
 		if len(x.Blocks) > 0 {
 			lo := 0
 			for lo < len(x.Blocks) && x.Blocks[lo].RawOff+x.Blocks[lo].RawLen <= off {
@@ -405,7 +398,7 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 				hi++
 			}
 			if lo >= hi {
-				return nil, errIndexGeometry
+				return nil, errIndexMiss
 			}
 			blocks = x.Blocks[lo:hi]
 			last := blocks[len(blocks)-1]
@@ -418,158 +411,57 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 
 	// The minimal closed set of groups: target-kind groups overlapping the
 	// stream span, plus — under emulation — every system group (the
-	// archived DBDecode program must be whole to run at all).
+	// archived DBDecode program must be whole to run at all). Only their
+	// frames are planned; every other frame of the volume is skipped
+	// without a single scan.
 	var sel []groupExtent
+	firstOff := -1 // stream offset of the first selected target-kind group
 	for _, g := range geo {
 		switch {
 		case g.kind == kind && g.secOff < spanOff+spanLen && spanOff < g.secOff+g.secLen:
+			if firstOff < 0 {
+				firstOff = g.secOff
+			}
 			sel = append(sel, g)
 		case g.kind == emblem.KindSystem && ro.Mode != RestoreNative:
 			sel = append(sel, g)
 		}
 	}
-
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			return nil, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
-		}
+	if firstOff < 0 || firstOff > spanOff {
+		return nil, errIndexMiss
 	}
-
-	// Scan and decode only the selected groups' frames; every other frame
-	// of the volume is skipped without a single ScanFrameInto call.
-	var frameIdx []int
+	dec, err := newFrameDecoder(doc, ro.Mode)
+	if err != nil {
+		return nil, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
+	}
+	sheets, all := volumePlan(v)
+	var plan []frameAddr
 	for _, g := range sel {
-		for f := 0; f < g.data+g.parity; f++ {
-			frameIdx = append(frameIdx, g.scanStart+f)
-		}
-	}
-	results := make([]frameResult, len(frameIdx))
-	decErr := forEachFrame(ctx, ro.Workers, len(frameIdx), func(_ context.Context, worker, i int) error {
-		sc := &scratch[worker]
-		scan, err := v.ScanFrameInto(&sc.scan, frameIdx[i])
-		if err != nil {
-			return fmt.Errorf("%w: scanning frame %d: %w", ErrRestore, frameIdx[i], err)
-		}
-		res := &results[i]
-		res.scanned = true
-		switch ro.Mode {
-		case RestoreNative:
-			var stats *mocoder.Stats
-			res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, doc.Layout)
-			if stats != nil {
-				res.corrected = stats.BytesCorrected
-			}
-		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, moProg, scan, doc.Layout, ro.Mode)
-		}
-		res.decoded = err == nil
-		return nil
-	})
-	if decErr != nil {
-		if errors.Is(decErr, ErrRestore) {
-			return nil, decErr
-		}
-		return nil, fmt.Errorf("%w: %w", ErrRestore, decErr)
+		plan = append(plan, all[g.scanStart:g.scanStart+g.data+g.parity]...)
 	}
 
-	// Serial per-group assembly in group order, mirroring the full
-	// restore's outer-code arithmetic so the recovered bytes are
-	// byte-identical to the corresponding slice of a full restore — lost
-	// groups included (Partial mode zero-fills exactly the group's stream
-	// extent, which is what the full restore's trimmed sink writes).
-	var spanBuf, sysBuf bytes.Buffer
-	base := 0
-	for _, g := range sel {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-		}
-		size := g.data + g.parity
-		full := make([][]byte, size)
-		members := 0
-		var sh *SheetReport
-		if g.sheet < len(st.Sheets) {
-			sh = &st.Sheets[g.sheet]
-		} else {
-			sh = &SheetReport{}
-		}
-		for p := 0; p < size; p++ {
-			res := &results[base+p]
-			if res.scanned {
-				st.FramesScanned++
-				sh.Frames++
-			}
-			if res.decoded && int(res.hdr.GroupID) == g.id && int(res.hdr.GroupPos) == p {
-				padded := make([]byte, capacity)
-				copy(padded, res.payload)
-				full[p] = padded
-				members++
-				st.BytesCorrected += res.corrected
-			} else {
-				st.FramesFailed++
-				sh.FramesFailed++
-			}
-		}
-		base += size
-
-		st.GroupsDecoded++
-		sh.Groups++
-		missing := size - members
-		rep := GroupReport{ID: g.id, Sheet: g.sheet, Kind: g.kind.String(), Frames: size, Missing: missing}
-		lost := false
-		if missing > 0 {
-			if err := mocoder.RecoverGroup(full); err != nil {
-				if !ro.Partial {
-					return nil, fmt.Errorf("%w: group %d: %w", ErrRestore, g.id, err)
-				}
-				lost = true
-				rep.Lost = true
-				st.GroupsLost++
-				sh.GroupsLost++
-			} else {
-				rep.Recovered = true
-				st.GroupsRecovered++
-				sh.GroupsRecovered++
-			}
-		}
-		st.Groups = append(st.Groups, rep)
-
-		sink := &spanBuf
-		if g.kind == emblem.KindSystem {
-			sink = &sysBuf
-		}
-		if lost {
-			sink.Write(make([]byte, g.secLen))
-			st.BytesLost += g.secLen
-			continue
-		}
-		written := 0
-		for p := 0; p < g.data && written < g.secLen; p++ {
-			n := g.secLen - written
-			if n > capacity {
-				n = capacity
-			}
-			sink.Write(full[p][:n])
-			written += n
-		}
+	// The target section's sink starts at the first selected group's
+	// stream offset, so trimming at the section's TotalLen stays exact — a
+	// lost group (Partial mode) zero-fills exactly its stream extent, which
+	// is what the full restore's trimmed sink writes.
+	var span, sys bytes.Buffer
+	asm := newAssembler(st, nil, capacity, x.GroupParity, ro.Partial)
+	asm.planned = sel
+	asm.sinks[kind] = &kindSink{w: &span, total: total, written: firstOff}
+	asm.sinks[emblem.KindSystem] = &kindSink{w: &sys, total: x.SystemLen}
+	asm.sheetOf = make([]int, len(plan))
+	for k, a := range plan {
+		asm.sheetOf[k] = a.sheet
 	}
-
-	// Trim the assembled target-kind bytes to the exact stream span: the
-	// selected groups cover it contiguously starting at the first group's
-	// extent.
-	firstOff := -1
-	for _, g := range sel {
-		if g.kind == kind {
-			firstOff = g.secOff
-			break
-		}
+	err = e.decodeFrames(ctx, sheets, plan, dec, asm.consume)
+	st.GroupsDecoded = len(st.Groups)
+	if err != nil {
+		return nil, err
 	}
-	span := spanBuf.Bytes()
-	if firstOff < 0 || firstOff > spanOff || firstOff+len(span) < spanOff+spanLen {
-		return nil, errIndexGeometry
+	if firstOff+span.Len() < spanOff+spanLen {
+		return nil, errIndexMiss
 	}
-	stream := span[spanOff-firstOff : spanOff-firstOff+spanLen]
-
+	stream := span.Bytes()[spanOff-firstOff : spanOff-firstOff+spanLen]
 	if !x.Compress {
 		st.FramesSkipped = v.FrameCount() - st.FramesScanned
 		return append([]byte(nil), stream...), nil
@@ -578,41 +470,29 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	// Decompress only the overlapping restart blocks, each independently
 	// decodable — natively or through the archived DBDecode program
 	// reassembled from the system groups.
-	var dbProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if dbProg, err = bootstrap.UnmarshalDynaRisc(sysBuf.Bytes()); err != nil {
-			return nil, fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
-		}
-	}
-	decode := func(blob []byte) ([]byte, error) {
-		if ro.Mode == RestoreNative {
-			raw, err := dbcoder.Decompress(blob)
-			if err != nil {
-				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
-			}
-			return raw, nil
-		}
-		return emulatedDecompress(dbProg, blob, ro.Mode)
+	decompress, err := dbDecoder(ro.Mode, &sys)
+	if err != nil {
+		return nil, err
 	}
 	var out []byte
 	if len(blocks) == 0 {
-		raw, err := decode(stream)
+		raw, err := decompress(stream)
 		if err != nil {
 			return nil, err
 		}
-		if off+length > len(raw) {
-			return nil, errIndexGeometry
+		if length > len(raw)-off {
+			return nil, errIndexMiss
 		}
 		out = append([]byte(nil), raw[off:off+length]...)
 	} else {
 		out = make([]byte, 0, length)
 		for _, b := range blocks {
-			raw, err := decode(stream[b.CompOff-spanOff : b.CompOff-spanOff+b.CompLen])
+			raw, err := decompress(stream[b.CompOff-spanOff : b.CompOff-spanOff+b.CompLen])
 			if err != nil {
 				return nil, err
 			}
 			if len(raw) != b.RawLen {
-				return nil, errIndexGeometry
+				return nil, errIndexMiss
 			}
 			lo, hi := 0, b.RawLen
 			if off > b.RawOff {
@@ -626,60 +506,4 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	}
 	st.FramesSkipped = v.FrameCount() - st.FramesScanned
 	return out, nil
-}
-
-// rangeFallback answers a range query with a full restore and a slice —
-// the path taken when no usable index is readable.
-func rangeFallback(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	var buf bytes.Buffer
-	st, err := restoreToWriter(&buf, v, bootstrapText, ro, scratch)
-	if st == nil {
-		st = &RestoreStats{Mode: ro.Mode}
-	}
-	st.IndexFallbacks++
-	if err != nil {
-		return nil, st, err
-	}
-	data := buf.Bytes()
-	if off+length > len(data) {
-		return nil, st, fmt.Errorf("%w: range %d:%d beyond archive of %d bytes", ErrRestore, off, length, len(data))
-	}
-	return append([]byte(nil), data[off:off+length]...), st, nil
-}
-
-// sectionFallback answers a table/column query with a full restore,
-// locating the name by parsing the restored SQL dump.
-func sectionFallback(v *media.Volume, bootstrapText, name string, ro RestoreOptions, scratch []scanScratch) ([]byte, *RestoreStats, error) {
-	var buf bytes.Buffer
-	st, err := restoreToWriter(&buf, v, bootstrapText, ro, scratch)
-	if st == nil {
-		st = &RestoreStats{Mode: ro.Mode}
-	}
-	st.IndexFallbacks++
-	if err != nil {
-		return nil, st, err
-	}
-	data := buf.Bytes()
-	secs, serr := sqldump.Sections(data)
-	if serr != nil {
-		return nil, st, fmt.Errorf("%w: locating %q: %w", ErrRestore, name, serr)
-	}
-	table, column := name, ""
-	if i := strings.IndexByte(name, '.'); i > 0 {
-		table, column = name[:i], name[i+1:]
-	}
-	for _, s := range secs {
-		if s.Table == name {
-			return append([]byte(nil), data[s.Off:s.Off+s.Len]...), st, nil
-		}
-		if column == "" || s.Table != table {
-			continue
-		}
-		for _, c := range s.Columns {
-			if c == column {
-				return append([]byte(nil), data[s.Off:s.Off+s.Len]...), st, nil
-			}
-		}
-	}
-	return nil, st, fmt.Errorf("%w: no table or column %q in the archive", ErrRestore, name)
 }

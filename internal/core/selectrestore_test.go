@@ -7,6 +7,8 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -104,6 +106,23 @@ func TestRestoreRangeMatchesFullSlice(t *testing.T) {
 	if _, _, err := RestoreRange(arch.Volume, arch.BootstrapText, n-10, 20,
 		RestoreOptions{Mode: RestoreNative}); err == nil {
 		t.Fatal("out-of-range query succeeded")
+	}
+}
+
+// TestRestoreRangeOverflowRejected: a range whose end overflows int is
+// rejected on indexed volumes right after the index probe — no payload
+// frame scanned, no full-restore fallback.
+func TestRestoreRangeOverflowRejected(t *testing.T) {
+	for _, compress := range []bool{true, false} {
+		arch, _ := indexedArchive(t, compress)
+		_, st, err := RestoreRange(arch.Volume, arch.BootstrapText, math.MaxInt-10, 100,
+			RestoreOptions{Mode: RestoreNative})
+		if !errors.Is(err, ErrRestore) {
+			t.Fatalf("compress=%v: got %v, want ErrRestore", compress, err)
+		}
+		if st.FramesScanned != 1 || st.IndexFallbacks != 0 || st.GroupsDecoded != 0 {
+			t.Fatalf("compress=%v: scanned beyond the index probe: %+v", compress, st)
+		}
 	}
 }
 
