@@ -519,8 +519,7 @@ func placeFrames(kept []*bagSheet, frames []frameAddr, results []frameResult, re
 		if planner[pi].decoded && !res.decoded {
 			continue // never let a failed frame shadow a decoded one
 		}
-		planner[pi] = frameResult{scanned: res.scanned, decoded: res.decoded,
-			hdr: res.hdr, payload: res.payload, corrected: res.corrected}
+		planner[pi] = *res
 	}
 	return planner
 }

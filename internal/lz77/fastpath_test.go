@@ -125,8 +125,9 @@ func TestConfigVariantsValid(t *testing.T) {
 	}
 }
 
-// TestInsertRangeMatchesInsert pins InsertRange to be exactly n Inserts: the chains (and therefore every future Find) must be
-// identical, since the default archival encoder runs through InsertRange.
+// TestInsertRangeMatchesInsert pins InsertRange to be exactly n Inserts:
+// the chains (and therefore every future Find) must be identical, since
+// the default archival encoder runs through InsertRange.
 func TestInsertRangeMatchesInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	src := make([]byte, 3000)
