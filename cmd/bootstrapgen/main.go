@@ -16,20 +16,13 @@ import (
 )
 
 func main() {
-	profile := flag.String("profile", "paper", "media profile: paper, microfilm, cinema")
+	profile := flag.String("profile", "paper", "media profile: "+media.ProfileNames)
 	stats := flag.Bool("stats", false, "print page statistics instead of the document")
 	flag.Parse()
 
-	var prof media.Profile
-	switch *profile {
-	case "paper":
-		prof = media.Paper()
-	case "microfilm":
-		prof = media.Microfilm()
-	case "cinema":
-		prof = media.CinemaFilm()
-	default:
-		fmt.Fprintf(os.Stderr, "bootstrapgen: unknown profile %q\n", *profile)
+	prof, err := media.ProfileByName(*profile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bootstrapgen: %v\n", err)
 		os.Exit(2)
 	}
 

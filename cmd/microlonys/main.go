@@ -65,7 +65,7 @@ import (
 
 func main() {
 	in := flag.String("in", "", "input file to archive (required; - reads stdin)")
-	profile := flag.String("profile", "paper", "media profile: paper, microfilm, cinema, tiny (fast dev medium)")
+	profile := flag.String("profile", "paper", "media profile: "+media.ProfileNames+" (tiny: fast dev medium)")
 	mode := flag.String("mode", "native", "restore mode: native, dynarisc, nested")
 	raw := flag.Bool("raw", false, "archive without DBCoder compression")
 	depth := flag.Int("depth", 0, "DBCoder match-finder depth: lower is faster, higher packs denser (0 = default)")
@@ -96,18 +96,9 @@ func main() {
 		fatal("missing -in")
 	}
 
-	var prof media.Profile
-	switch *profile {
-	case "paper":
-		prof = media.Paper()
-	case "microfilm":
-		prof = media.Microfilm()
-	case "cinema":
-		prof = media.CinemaFilm()
-	case "tiny":
-		prof = media.Tiny()
-	default:
-		fatal("unknown profile %q", *profile)
+	prof, err := media.ProfileByName(*profile)
+	if err != nil {
+		fatal("%v", err)
 	}
 	prof.Scanner.FastSim = *fastsim
 

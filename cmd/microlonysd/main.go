@@ -95,7 +95,7 @@ func run(args []string, ready chan<- string) error {
 	retries := fs.Int("retries", 3, "retry budget for transient I/O faults per job")
 	journal := fs.String("journal", "", "append-only JSONL job journal path (empty: no journal)")
 	drainBudget := fs.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM")
-	profile := fs.String("profile", "paper", "media profile: paper, microfilm, cinema, tiny")
+	profile := fs.String("profile", "paper", "media profile: "+media.ProfileNames)
 	fastsim := fs.Bool("fastsim", false, "use the fast scanner approximation")
 	compress := fs.Bool("compress", true, "run DBCoder on archive payloads")
 	chaosFailures := fs.Int("chaos-source-failures", 0, "inject N transient failures into every archive source (testing)")
@@ -104,18 +104,9 @@ func run(args []string, ready chan<- string) error {
 		return err
 	}
 
-	var prof media.Profile
-	switch *profile {
-	case "paper":
-		prof = media.Paper()
-	case "microfilm":
-		prof = media.Microfilm()
-	case "cinema":
-		prof = media.CinemaFilm()
-	case "tiny":
-		prof = media.Tiny()
-	default:
-		return fmt.Errorf("unknown profile %q", *profile)
+	prof, err := media.ProfileByName(*profile)
+	if err != nil {
+		return err
 	}
 	if *fastsim {
 		prof.Scanner.FastSim = true
@@ -173,12 +164,10 @@ func run(args []string, ready chan<- string) error {
 
 func (s *server) routes() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/archive", s.handleArchive)
-	mux.HandleFunc("POST /v1/restore", s.handleRestore)
-	mux.HandleFunc("POST /v1/range", s.handleRange)
-	mux.HandleFunc("POST /v1/table", s.handleTable)
-	mux.HandleFunc("POST /v1/listindex", s.handleListIndex)
-	mux.HandleFunc("POST /v1/salvage", s.handleSalvage)
+	for _, kind := range []jobs.Kind{jobs.KindArchive, jobs.KindRestore, jobs.KindRange,
+		jobs.KindTable, jobs.KindListIndex, jobs.KindSalvage} {
+		mux.HandleFunc("POST /v1/"+string(kind), s.handleSubmit(kind))
+	}
 	mux.HandleFunc("GET /v1/jobs", s.handleJobs)
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
@@ -222,9 +211,85 @@ func decodeBody(w http.ResponseWriter, r *http.Request, b *submitBody) bool {
 	return true
 }
 
-// submit maps the manager's admission errors onto HTTP status codes:
-// queue full -> 429, draining -> 503, bad request -> 400.
-func (s *server) submit(w http.ResponseWriter, req jobs.Request) {
+// handleSubmit serves one submission endpoint, the same path for every
+// kind: decode the body, build the kind's request (400 for a missing
+// field, 404 for an unknown archive name), submit it, and answer 202 with
+// the job id — after recording an archive job under its name, so the
+// name resolves the moment the job is reported succeeded.
+func (s *server) handleSubmit(kind jobs.Kind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var b submitBody
+		if !decodeBody(w, r, &b) {
+			return
+		}
+		req, ok := s.request(w, kind, b)
+		if !ok {
+			return
+		}
+		req.Timeout = time.Duration(b.TimeoutMS) * time.Millisecond
+		id, ok := s.submit(w, req)
+		if !ok {
+			return
+		}
+		if kind == jobs.KindArchive {
+			s.mu.Lock()
+			s.names[b.Name] = append(s.names[b.Name], id)
+			s.mu.Unlock()
+		}
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(map[string]int64{"job": id})
+	}
+}
+
+// request builds the job a submission asks for. Archive jobs read their
+// input file; every other kind runs on the named archive.
+func (s *server) request(w http.ResponseWriter, kind jobs.Kind, b submitBody) (jobs.Request, bool) {
+	req := jobs.Request{Kind: kind}
+	switch {
+	case kind == jobs.KindArchive && b.Input == "":
+		http.Error(w, "missing input path", http.StatusBadRequest)
+		return req, false
+	case kind == jobs.KindRange && b.Length <= 0:
+		http.Error(w, "length must be positive", http.StatusBadRequest)
+		return req, false
+	case kind == jobs.KindTable && b.Table == "":
+		http.Error(w, "missing table name", http.StatusBadRequest)
+		return req, false
+	}
+	if kind == jobs.KindArchive {
+		req.ArchiveOptions = s.opts
+		if b.Indexed {
+			req.ArchiveOptions.Catalog = true
+			req.ArchiveOptions.Index = true
+		}
+		req.Source = s.source(b.Input)
+		return req, true
+	}
+
+	arch, ok := s.lookup(w, b.Name)
+	if !ok {
+		return req, false
+	}
+	req.Volume, req.BootstrapText = arch.Volume, arch.BootstrapText
+	req.RestoreOptions = core.RestoreOptions{Mode: core.RestoreNative}
+	req.Off, req.Length, req.Table = b.Off, b.Length, b.Table
+	if kind == jobs.KindRestore || kind == jobs.KindSalvage {
+		req.Sink = fileSink(b.Output)
+	}
+	if kind == jobs.KindSalvage {
+		for i := 0; i < arch.Volume.Sheets(); i++ {
+			m, _ := arch.Volume.Sheet(i) // i is in range, so Sheet cannot fail
+			req.Sheets = append(req.Sheets, m)
+		}
+		req.SalvageOptions = core.SalvageOptions{Mode: core.RestoreNative}
+	}
+	return req, true
+}
+
+// submit hands req to the manager, mapping its admission errors onto HTTP
+// status codes: queue full -> 429, draining -> 503, bad request -> 400.
+// It reports false once it has answered with an error.
+func (s *server) submit(w http.ResponseWriter, req jobs.Request) (int64, bool) {
 	id, err := s.mgr.Submit(req)
 	switch {
 	case errors.Is(err, jobs.ErrQueueFull):
@@ -234,9 +299,9 @@ func (s *server) submit(w http.ResponseWriter, req jobs.Request) {
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	default:
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]int64{"job": id})
+		return id, true
 	}
+	return 0, false
 }
 
 // lookup resolves an archive name to the volume of its newest archive job
@@ -258,20 +323,10 @@ func (s *server) lookup(w http.ResponseWriter, name string) (*core.Archived, boo
 	return nil, false
 }
 
-func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
-	var b submitBody
-	if !decodeBody(w, r, &b) {
-		return
-	}
-	if b.Input == "" {
-		http.Error(w, "missing input path", http.StatusBadRequest)
-		return
-	}
-	opts := s.opts
-	if b.Indexed {
-		opts.Catalog = true
-		opts.Index = true
-	}
+// source opens the archive input afresh for every attempt; the manager
+// closes it when the attempt ends. The chaos wrappers hide the file's
+// Close, so a wrapped source pairs them with the file itself.
+func (s *server) source(path string) func(context.Context) (io.Reader, error) {
 	// One fault budget per job, shared across retry attempts, so the
 	// chaos flags model a source that recovers rather than one that
 	// fails forever.
@@ -279,156 +334,37 @@ func (s *server) handleArchive(w http.ResponseWriter, r *http.Request) {
 	if s.chaosFailures > 0 {
 		flaky = faultinject.NewFlaky(s.chaosFailures)
 	}
-	input, slow := b.Input, s.chaosSlow
-	req := jobs.Request{
-		Kind: jobs.KindArchive,
-		Source: func(context.Context) (io.Reader, error) {
-			f, err := os.Open(input)
-			if err != nil {
-				return nil, err
-			}
-			// The file handle leaks until process exit if the job is
-			// abandoned mid-read; jobs are short-lived, and the archive
-			// pipeline always reads to EOF on success.
-			var rd io.Reader = f
-			if slow > 0 {
-				rd = faultinject.SlowReader(rd, slow)
-			}
-			if flaky != nil {
-				rd = flaky.Reader(rd)
-			}
-			return rd, nil
-		},
-		ArchiveOptions: opts,
-		Timeout:        time.Duration(b.TimeoutMS) * time.Millisecond,
+	slow := s.chaosSlow
+	return func(context.Context) (io.Reader, error) {
+		f, err := os.Open(path)
+		if err != nil || (slow <= 0 && flaky == nil) {
+			return f, err
+		}
+		var rd io.Reader = f
+		if slow > 0 {
+			rd = faultinject.SlowReader(rd, slow)
+		}
+		if flaky != nil {
+			rd = flaky.Reader(rd)
+		}
+		return struct {
+			io.Reader
+			io.Closer
+		}{rd, f}, nil
 	}
-	id, err := s.mgr.Submit(req)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
-		http.Error(w, "queue full, retry later", http.StatusTooManyRequests)
-		return
-	case errors.Is(err, jobs.ErrDraining):
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
-	case err != nil:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	s.mu.Lock()
-	s.names[b.Name] = append(s.names[b.Name], id)
-	s.mu.Unlock()
-	w.WriteHeader(http.StatusAccepted)
-	json.NewEncoder(w).Encode(map[string]int64{"job": id})
 }
 
+// fileSink creates the output file afresh for every attempt (truncating,
+// so each retry starts clean); the manager syncs it before the job
+// succeeds and closes it when the attempt ends. An empty path buffers the
+// output in memory instead.
 func fileSink(path string) func(context.Context) (io.Writer, error) {
 	if path == "" {
 		return nil
 	}
 	return func(context.Context) (io.Writer, error) {
-		return os.Create(path) // truncates, so each retry attempt starts clean
+		return os.Create(path)
 	}
-}
-
-func (s *server) handleRestore(w http.ResponseWriter, r *http.Request) {
-	var b submitBody
-	if !decodeBody(w, r, &b) {
-		return
-	}
-	arch, ok := s.lookup(w, b.Name)
-	if !ok {
-		return
-	}
-	s.submit(w, jobs.Request{
-		Kind: jobs.KindRestore, Volume: arch.Volume, BootstrapText: arch.BootstrapText,
-		RestoreOptions: core.RestoreOptions{Mode: core.RestoreNative},
-		Sink:           fileSink(b.Output),
-		Timeout:        time.Duration(b.TimeoutMS) * time.Millisecond,
-	})
-}
-
-func (s *server) handleRange(w http.ResponseWriter, r *http.Request) {
-	var b submitBody
-	if !decodeBody(w, r, &b) {
-		return
-	}
-	arch, ok := s.lookup(w, b.Name)
-	if !ok {
-		return
-	}
-	if b.Length <= 0 {
-		http.Error(w, "length must be positive", http.StatusBadRequest)
-		return
-	}
-	s.submit(w, jobs.Request{
-		Kind: jobs.KindRange, Volume: arch.Volume, BootstrapText: arch.BootstrapText,
-		Off: b.Off, Length: b.Length,
-		RestoreOptions: core.RestoreOptions{Mode: core.RestoreNative},
-		Timeout:        time.Duration(b.TimeoutMS) * time.Millisecond,
-	})
-}
-
-func (s *server) handleTable(w http.ResponseWriter, r *http.Request) {
-	var b submitBody
-	if !decodeBody(w, r, &b) {
-		return
-	}
-	arch, ok := s.lookup(w, b.Name)
-	if !ok {
-		return
-	}
-	if b.Table == "" {
-		http.Error(w, "missing table name", http.StatusBadRequest)
-		return
-	}
-	s.submit(w, jobs.Request{
-		Kind: jobs.KindTable, Volume: arch.Volume, BootstrapText: arch.BootstrapText,
-		Table:          b.Table,
-		RestoreOptions: core.RestoreOptions{Mode: core.RestoreNative},
-		Timeout:        time.Duration(b.TimeoutMS) * time.Millisecond,
-	})
-}
-
-func (s *server) handleListIndex(w http.ResponseWriter, r *http.Request) {
-	var b submitBody
-	if !decodeBody(w, r, &b) {
-		return
-	}
-	arch, ok := s.lookup(w, b.Name)
-	if !ok {
-		return
-	}
-	s.submit(w, jobs.Request{
-		Kind: jobs.KindListIndex, Volume: arch.Volume, BootstrapText: arch.BootstrapText,
-		RestoreOptions: core.RestoreOptions{Mode: core.RestoreNative},
-		Timeout:        time.Duration(b.TimeoutMS) * time.Millisecond,
-	})
-}
-
-func (s *server) handleSalvage(w http.ResponseWriter, r *http.Request) {
-	var b submitBody
-	if !decodeBody(w, r, &b) {
-		return
-	}
-	arch, ok := s.lookup(w, b.Name)
-	if !ok {
-		return
-	}
-	var bag []*media.Medium
-	for i := 0; i < arch.Volume.Sheets(); i++ {
-		m, err := arch.Volume.Sheet(i)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		bag = append(bag, m)
-	}
-	s.submit(w, jobs.Request{
-		Kind: jobs.KindSalvage, Sheets: bag,
-		SalvageOptions: core.SalvageOptions{Mode: core.RestoreNative},
-		Sink:           fileSink(b.Output),
-		Timeout:        time.Duration(b.TimeoutMS) * time.Millisecond,
-	})
 }
 
 func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {

@@ -5,11 +5,13 @@
 // The index deliberately stores *parameters*, not tables. Frame placement
 // in Micr'Olonys is fully deterministic: given the section lengths, the
 // frame capacity, the outer-code group shape, the sheet size and the
-// per-sheet reserved slots, the planner's group-cutting arithmetic and the
-// volume's sheet-cutting arithmetic can be replayed exactly. The restore
-// side re-derives every group's (sheet, frame, stream-offset) extent from
-// a dozen integers instead of reading a per-group table that would not fit
-// small frames. What cannot be derived is stored explicitly:
+// per-sheet reserved slots, the archive's layout function (the one the
+// planner cut its groups from) can be run again exactly. The restore side
+// re-derives every group's (sheet, frame, stream-offset) extent from a
+// dozen integers instead of reading a per-group table that would not fit
+// small frames, bounding the replay by the frame count of the volume in
+// hand so a forged length cannot make it lay out more groups than the
+// volume holds. What cannot be derived is stored explicitly:
 //
 //   - the DBS1 restart-block table (raw/compressed extents of each
 //     independently decodable DBCoder block), for compressed archives;

@@ -7,11 +7,13 @@
 // runs randomized trials along damage axes: each trial clones the
 // archived volume, applies parameterized damage (distortion severity,
 // dust/tear density, lost-carrier fraction, or scan→print→scan
-// generational copies), restores with RestoreOptions.Partial through a
-// reused core.Engine, and scores the outcome — full recovery, partial
-// (with the stats' GroupsLost/BytesLost accounting), or failure. The
-// internal/dnasim substrate runs the same sweeps through its sequencing
-// channel model, so every media profile of the ULE stack gets a curve.
+// generational copies), restores with RestoreOptions.Partial at core
+// parallelism 1 into a per-worker output buffer (the core pools its scan
+// scratch, so trials reuse it), and scores the outcome — full recovery,
+// partial (with the stats' GroupsLost/BytesLost accounting), or failure.
+// The internal/dnasim substrate runs the same sweeps through its
+// sequencing channel model, so every media profile of the ULE stack gets
+// a curve.
 //
 // Everything derives from one seed: trial damage placement, scanner noise
 // (via the media package's Scanner.Seed hook) and sequencing randomness
@@ -22,6 +24,7 @@
 package campaign
 
 import (
+	"bytes"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
@@ -124,8 +127,9 @@ type runner interface {
 	// points returns the sweep values for a supported axis.
 	points(axis string) []float64
 	// trial runs one randomized trial and scores it. rng is the trial's
-	// private randomness; eng is the calling worker's reusable engine.
-	trial(axis string, value float64, rng *rand.Rand, eng *engine) outcome
+	// private randomness; out is the calling worker's reusable output
+	// buffer.
+	trial(axis string, value float64, rng *rand.Rand, out *bytes.Buffer) outcome
 }
 
 // normalize fills Config defaults.
@@ -213,11 +217,11 @@ func Run(cfg Config) (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng := newEngine() // per-worker: reused scan scratch across trials
+			var out bytes.Buffer // per-worker: reused across trials
 			for i := range next {
 				j := &jobs[i]
 				rng := rand.New(rand.NewSource(j.seed))
-				outcomes[i] = j.runner.trial(j.axis, j.value, rng, eng)
+				outcomes[i] = j.runner.trial(j.axis, j.value, rng, &out)
 			}
 		}()
 	}

@@ -70,7 +70,7 @@ func (r *dnaRunner) points(axis string) []float64 {
 	return nil
 }
 
-func (r *dnaRunner) trial(axis string, value float64, rng *rand.Rand, _ *engine) outcome {
+func (r *dnaRunner) trial(axis string, value float64, rng *rand.Rand, _ *bytes.Buffer) outcome {
 	pool := r.oligos
 	ch := dnasim.Channel{Coverage: dnaCoverage, SubRate: dnaBaseSub, DropRate: dnaBaseDrop}
 

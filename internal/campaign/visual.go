@@ -9,6 +9,7 @@ import (
 	"microlonys/internal/core"
 	"microlonys/internal/emblem"
 	"microlonys/internal/faultinject"
+	"microlonys/internal/mocoder"
 	"microlonys/media"
 )
 
@@ -82,14 +83,6 @@ type visualRunner struct {
 	fastSim   bool // scan trials through the fast-sim approximation
 }
 
-// engine is one campaign worker's reusable per-trial state.
-type engine struct {
-	core *core.Engine
-	out  bytes.Buffer
-}
-
-func newEngine() *engine { return &engine{core: core.NewEngine(1)} }
-
 func newVisualRunner(p media.Profile, cfg Config) (*visualRunner, error) {
 	corpus := Corpus(cfg.CorpusBytes, cfg.Seed)
 	opts := core.DefaultOptions(p)
@@ -98,7 +91,7 @@ func newVisualRunner(p media.Profile, cfg Config) (*visualRunner, error) {
 	// partial/full distinction would collapse to pass/fail.
 	opts.Compress = false
 	opts.Workers = 1
-	opts.SheetFrames = campaignSheetGroups * (opts.GroupData + opts.GroupParity)
+	opts.SheetFrames = campaignSheetGroups * (opts.GroupData + mocoder.GroupParity)
 	arch, err := core.CreateArchive(corpus, opts)
 	if err != nil {
 		return nil, fmt.Errorf("campaign: archiving %s corpus: %w", p.Name, err)
@@ -145,9 +138,9 @@ const genScannerScale = 0.6
 
 // trial clones the archived volume, applies the axis's damage at the
 // given value, and scores a Partial restore.
-func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, eng *engine) outcome {
+func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, out *bytes.Buffer) outcome {
 	if axis == AxisSalvage {
-		return r.salvageTrial(value, rng, eng)
+		return r.salvageTrial(value, rng, out)
 	}
 	vol := r.arch.Volume.Clone()
 	scanner := r.profile.Scanner
@@ -194,9 +187,9 @@ func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, eng *en
 	scanner.Seed = rng.Int63() | 1
 	vol.SetScanner(scanner)
 
-	eng.out.Reset()
-	st, err := eng.core.RestoreToWriter(&eng.out, vol, r.bootstrap,
-		core.RestoreOptions{Mode: core.RestoreNative, Partial: true})
+	out.Reset()
+	st, err := core.RestoreToWriter(out, vol, r.bootstrap,
+		core.RestoreOptions{Mode: core.RestoreNative, Workers: 1, Partial: true})
 	o := outcome{}
 	if st != nil {
 		o.groupsLost = st.GroupsLost
@@ -206,14 +199,14 @@ func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, eng *en
 	switch {
 	case err != nil:
 		o.failed = true
-	case bytes.Equal(eng.out.Bytes(), r.corpus):
+	case bytes.Equal(out.Bytes(), r.corpus):
 		o.full = true
 	default:
 		o.partial = true
 		if o.bytesLost == 0 {
 			// The restore claimed clean output that differs from the
 			// corpus — count the divergence so the curve records it.
-			o.bytesLost = diffBytes(eng.out.Bytes(), r.corpus)
+			o.bytesLost = diffBytes(out.Bytes(), r.corpus)
 		}
 	}
 	return o
@@ -224,7 +217,7 @@ func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, eng *en
 // frames destroyed across it, a faultinject schedule shuffles the bag,
 // duplicates one sheet and tears another — then core.Salvage restores
 // with no bootstrap text and the output is scored against the corpus.
-func (r *visualRunner) salvageTrial(value float64, rng *rand.Rand, eng *engine) outcome {
+func (r *visualRunner) salvageTrial(value float64, rng *rand.Rand, out *bytes.Buffer) outcome {
 	vol := r.archCat.Volume.Clone()
 	scanner := r.profile.Scanner
 	scanner.FastSim = r.fastSim
@@ -246,8 +239,8 @@ func (r *visualRunner) salvageTrial(value float64, rng *rand.Rand, eng *engine) 
 	sched.Shuffle(bag)
 	bag = sched.Duplicate(bag, 1)
 
-	eng.out.Reset()
-	rep, err := eng.core.SalvageTo(&eng.out, bag, core.SalvageOptions{Mode: core.RestoreNative})
+	out.Reset()
+	rep, err := core.SalvageTo(out, bag, core.SalvageOptions{Mode: core.RestoreNative, Workers: 1})
 	o := outcome{}
 	if rep != nil {
 		o.groupsLost = rep.Stats.GroupsLost
@@ -257,12 +250,12 @@ func (r *visualRunner) salvageTrial(value float64, rng *rand.Rand, eng *engine) 
 	switch {
 	case err != nil:
 		o.failed = true
-	case bytes.Equal(eng.out.Bytes(), r.corpus):
+	case bytes.Equal(out.Bytes(), r.corpus):
 		o.full = true
 	default:
 		o.partial = true
 		if o.bytesLost == 0 {
-			o.bytesLost = diffBytes(eng.out.Bytes(), r.corpus)
+			o.bytesLost = diffBytes(out.Bytes(), r.corpus)
 		}
 	}
 	return o

@@ -101,6 +101,10 @@ const (
 	flagInstructions = 1 << 3
 	flagIndexSlot    = 1 << 4 // no payload: records the reserved index slot
 	flagIndexReplica = 1 << 5
+
+	// maxCount is what the emblem header can address: frame indices,
+	// group ids and sheet ordinals are uint16.
+	maxCount = 1 << 16
 )
 
 // ErrCatalog reports an unreadable or oversized catalog.
@@ -227,7 +231,11 @@ func (c *Catalog) marshal(b []byte, flags uint8) ([]byte, error) {
 
 // Parse reads a catalog frame payload back, validating the trailing
 // CRC-32 and tolerating every trim level Marshal can emit. Payload bytes
-// past the catalog's own record (emblem padding) are ignored.
+// past the catalog's own record (emblem padding) are ignored. Counts the
+// emblem header cannot address — more than 65536 sheets or groups, more
+// frames than 65536 plus each sheet's reserved slots, a sheet ordinal or
+// inventory range outside them — are rejected as implausible: salvage
+// sizes its frame space from them.
 func Parse(b []byte) (*Catalog, error) {
 	r := reader{b: b}
 	if string(r.take(4)) != magic {
@@ -300,6 +308,16 @@ func Parse(b []byte) (*Catalog, error) {
 	}
 	if crc32.ChecksumIEEE(b[:r.off-4]) != sum {
 		return nil, fmt.Errorf("%w: CRC mismatch", ErrCatalog)
+	}
+	reserved := 1 + int(boolByte(c.IndexSlot))
+	if c.SheetCount > maxCount || c.Sheet >= c.SheetCount || c.TotalGroups > maxCount ||
+		c.TotalFrames > maxCount+c.SheetCount*reserved {
+		return nil, fmt.Errorf("%w: implausible counts", ErrCatalog)
+	}
+	for _, s := range c.Sheets {
+		if s.StartFrame+s.Frames > c.TotalFrames {
+			return nil, fmt.Errorf("%w: sheet inventory beyond the volume", ErrCatalog)
+		}
 	}
 	return c, nil
 }

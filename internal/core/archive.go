@@ -26,9 +26,10 @@ import (
 
 // The archival pipeline (Figure 2a), as three explicit stages:
 //
-//	plan:   DBCoder + system stream → an io.Reader per section → fixed-size
-//	        outer-code group plans, one at a time (serial; owns all
-//	        cross-frame state: chunking, parity, header and index fixup)
+//	plan:   DBCoder + system stream → an io.Reader per section → the
+//	        outer-code groups the archive layout (layoutGroups) cuts,
+//	        planned one at a time (serial; owns all cross-frame state:
+//	        parity, header and index fixup)
 //	encode: group plan → rasterized emblems (parallel per frame)
 //	place:  emblems → the volume's sheets, in frame order, one whole group
 //	        per write (serial; a group never straddles a sheet)
@@ -114,20 +115,13 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	if opts.GroupData <= 0 {
 		opts.GroupData = mocoder.GroupData
 	}
-	if opts.GroupParity <= 0 {
-		opts.GroupParity = mocoder.GroupParity
+	if opts.GroupData > mocoder.GroupData {
+		return nil, fmt.Errorf("core: unsupported group shape %d+%d", opts.GroupData, mocoder.GroupParity)
 	}
-	if opts.GroupData > mocoder.GroupData || opts.GroupParity != mocoder.GroupParity {
-		return nil, fmt.Errorf("core: unsupported group shape %d+%d", opts.GroupData, opts.GroupParity)
-	}
-	if opts.SheetFrames > 0 && opts.SheetFrames < opts.GroupData+opts.GroupParity {
-		return nil, fmt.Errorf("core: sheet capacity %d below group size %d+%d",
-			opts.SheetFrames, opts.GroupData, opts.GroupParity)
-	}
-	if reserved := boolInt(opts.Catalog) + boolInt(opts.Index); reserved > 0 && opts.SheetFrames > 0 &&
-		opts.SheetFrames < opts.GroupData+opts.GroupParity+reserved {
+	if reserved := boolInt(opts.Catalog) + boolInt(opts.Index); opts.SheetFrames > 0 &&
+		opts.SheetFrames < opts.GroupData+mocoder.GroupParity+reserved {
 		return nil, fmt.Errorf("core: sheet capacity %d below group size %d+%d plus %d reserved slots",
-			opts.SheetFrames, opts.GroupData, opts.GroupParity, reserved)
+			opts.SheetFrames, opts.GroupData, mocoder.GroupParity, reserved)
 	}
 	layout := opts.Profile.Layout
 	capacity := mocoder.Capacity(layout)
@@ -137,7 +131,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 
 	// Resolve the sections: the (possibly compressed) data stream, then
 	// the archived DBDecode instruction stream (system emblems).
-	p := &planner{opts: opts, capacity: capacity}
+	var man Manifest
 	var sections []archiveSection
 	var idxBlocks []dbcoder.SeekBlock
 	var idxSections []archindex.Section
@@ -186,15 +180,15 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		} else {
 			stream = dbcoder.CompressDepth(data, depth)
 		}
-		p.man.RawLen = len(data)
-		p.man.StreamLen = len(stream)
+		man.RawLen = len(data)
+		man.StreamLen = len(stream)
 
 		_, _, prog, err := archivedPrograms()
 		if err != nil {
 			return nil, err
 		}
 		sys := bootstrap.MarshalDynaRisc(prog)
-		p.man.SystemLen = len(sys)
+		man.SystemLen = len(sys)
 		sections = []archiveSection{
 			{emblem.KindData, bytes.NewReader(stream), len(stream)},
 			{emblem.KindSystem, bytes.NewReader(sys), len(sys)},
@@ -204,8 +198,8 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: sizing input: %w", err)
 		}
-		p.man.RawLen = total
-		p.man.StreamLen = total
+		man.RawLen = total
+		man.StreamLen = total
 		sections = []archiveSection{{emblem.KindRaw, rr, total}}
 	}
 	for _, sec := range sections {
@@ -214,10 +208,13 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		}
 	}
 
-	// Plan → encode → place. The section totals are known before the
-	// first group is cut, so the whole archive's frame count is too —
-	// the pool (and its scratch) never exceeds the frames there are to
-	// encode.
+	// Plan → encode → place. The layout fixes every group's frames and
+	// sheet before the first group is cut, so the pool (and its scratch)
+	// never exceeds the frames there are to encode.
+	p, err := newPlanner(opts, capacity, man, sections)
+	if err != nil {
+		return nil, err
+	}
 	vol := media.NewVolume(opts.Profile, opts.SheetFrames)
 	if opts.Catalog {
 		if err := vol.EnableCatalog(); err != nil {
@@ -229,14 +226,13 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	workers := resolveWorkers(opts.Workers, plannedFrames(sections, capacity, opts))
+	last := p.groups[len(p.groups)-1]
+	workers := resolveWorkers(opts.Workers, last.frame+last.size())
 	scratch := make([]encScratch, workers)
 	if err := pipelineGroups(p, sections, layout, vol, workers, scratch); err != nil {
 		return nil, err
 	}
-	p.man.Groups = p.groupID
-	p.man.TotalFrames = p.frameIdx
-	p.man.Sheets = vol.Sheets()
+	p.man.Sheets = last.sheet + 1
 
 	// The deterministic archive identity both the catalog and the index
 	// carry; computable only once every group checksum is collected.
@@ -257,12 +253,11 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 			StreamLen:   p.man.StreamLen,
 			SystemLen:   p.man.SystemLen,
 			GroupData:   opts.GroupData,
-			GroupParity: opts.GroupParity,
+			GroupParity: mocoder.GroupParity,
 			SheetFrames: opts.SheetFrames,
 			Blocks:      idxBlocks,
 			Sections:    idxSections,
 		}
-		var err error
 		if indexPayload, err = x.Marshal(capacity); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -275,15 +270,13 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		if err := p.fillCatalogs(vol, capacity, &scratch[0], indexPayload); err != nil {
 			return nil, err
 		}
-		p.man.CatalogFrames = vol.Sheets()
-		p.man.TotalFrames += vol.Sheets()
+		p.man.CatalogFrames = p.man.Sheets
 	}
 	if opts.Index {
 		if err := p.fillIndexes(vol, indexPayload, &scratch[0]); err != nil {
 			return nil, err
 		}
-		p.man.IndexFrames = vol.Sheets()
-		p.man.TotalFrames += vol.Sheets()
+		p.man.IndexFrames = p.man.Sheets
 	}
 
 	// Step 6: Bootstrap document.
@@ -291,7 +284,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := bootstrap.New(opts.Profile.Name, layout, opts.GroupData, opts.GroupParity, emu, mo)
+	doc := bootstrap.New(opts.Profile.Name, layout, opts.GroupData, mocoder.GroupParity, emu, mo)
 	doc.Catalog = opts.Catalog
 	doc.Index = opts.Index
 
@@ -308,55 +301,172 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	return arch, nil
 }
 
-// planner owns the archive side's cross-frame state: global frame and
-// group counters and the manifest tallies. Section by section it cuts the
-// stream into capacity-sized chunks, forms outer-code groups, computes
-// their parity payloads and fixes every frame's header and index — then
-// hands each group to the emit callback and forgets it.
+// maxHeaderFrames is what the emblem header can address: frame indices,
+// group ids and sheet ordinals are uint16.
+const maxHeaderFrames = math.MaxUint16 + 1
+
+// archiveSection is one section of the archive stream: its emblem kind,
+// its byte source and its exact length (known before the first group is
+// cut — every frame header carries the section TotalLen). A query's
+// replayed layout knows the lengths only and has no source.
+type archiveSection struct {
+	kind  emblem.Kind
+	r     io.Reader
+	total int
+}
+
+// groupExtent is one outer-code group's place in the archive layout: its
+// id and shape, the section and stream extent it carries, the sheet it
+// lands on, and its first frame in planner order (the header Index) and in
+// scan order (reserved slots included).
+type groupExtent struct {
+	id             int
+	sec            int // index of the group's section
+	kind           emblem.Kind
+	data, parity   int
+	secOff, secLen int // byte extent within the group's section stream
+	sheet          int
+	frame          int // planner index of the group's first frame
+	scanStart      int // global scan index of the group's first frame
+}
+
+func (g groupExtent) size() int { return g.data + g.parity }
+
+// layoutGroups is the archive layout, the one place the group and sheet
+// arithmetic lives. Each section is cut into capacity-sized chunks (an
+// empty section still occupies one empty chunk, so every section produces
+// at least one emblem carrying its TotalLen), the chunks into groups of
+// groupData plus groupParity frames, and the groups onto sheets of
+// sheetFrames frames whose first reserved slots hold the catalog and
+// index emblems, cutting a new sheet whenever the next group would not
+// fit (sheetFrames <= 0: one unbounded sheet). The archive planner cuts
+// exactly these groups; a query replays them from the index's integers.
+//
+// A shape the emblem header cannot carry, a group larger than a sheet, or
+// a layout whose scan frames pass maxFrames reports errIndexMiss, so the
+// work and memory spent on a forged index stay bounded by maxFrames.
+func layoutGroups(secs []archiveSection, capacity, groupData, groupParity, sheetFrames, reserved, maxFrames int) ([]groupExtent, error) {
+	if capacity <= 0 || groupData <= 0 || groupData > math.MaxUint8 || groupParity < 0 || groupParity > math.MaxUint8 {
+		return nil, errIndexMiss
+	}
+	usable := sheetFrames - reserved
+	var out []groupExtent
+	frame, scan := 0, 0 // planner and scan frames laid out so far
+	sheet, fill := 0, 0 // open sheet and its placed (non-reserved) frames
+	for si, s := range secs {
+		if s.total < 0 {
+			return nil, errIndexMiss
+		}
+		chunks := s.total / capacity
+		if s.total%capacity != 0 || chunks == 0 {
+			chunks++
+		}
+		for chunk := 0; chunk < chunks; {
+			g := min(groupData, chunks-chunk)
+			size := g + groupParity
+			if sheetFrames > 0 {
+				if size > usable {
+					return nil, errIndexMiss
+				}
+				if fill+size > usable {
+					sheet++
+					fill = 0
+				}
+			}
+			if fill == 0 {
+				scan += reserved // a sheet opens with its reserved slots
+			}
+			if scan+size > maxFrames {
+				return nil, errIndexMiss
+			}
+			out = append(out, groupExtent{
+				id: len(out), sec: si, kind: s.kind, data: g, parity: groupParity,
+				secOff: chunk * capacity, secLen: min((chunk+g)*capacity, s.total) - chunk*capacity,
+				sheet: sheet, frame: frame, scanStart: scan,
+			})
+			frame += size
+			scan += size
+			fill += size
+			chunk += g
+		}
+	}
+	return out, nil
+}
+
+// planner owns the archive side's cross-frame state: the layout and the
+// manifest tallies read from it. Group by group it reads the payload
+// bytes, computes the parity payloads and fixes every frame's header —
+// then hands the group to the emit callback and forgets it.
 type planner struct {
 	opts     Options
 	capacity int
-	groupID  int
-	frameIdx int
+	groups   []groupExtent
 	man      Manifest
 
-	// Catalog bookkeeping (Options.Catalog only): per-group checksum
-	// records collected at planning time — the padded data payloads the
-	// CRC covers are exactly what the planner just built — and the sheet
-	// each group landed on, appended by the place stage in plan order.
-	sums        []catalog.GroupSum
-	groupSheets []int
+	// Per-group checksum records (Options.Catalog or Options.Index only)
+	// for the catalog and the archive identity, collected at planning time
+	// — the padded data payloads the CRC covers are exactly what the
+	// planner just built.
+	sums []catalog.GroupSum
 }
 
-// section plans one section's groups, reading exactly total bytes from r
-// one group at a time. An empty section still occupies one empty chunk,
-// so every section produces at least one emblem carrying its TotalLen.
-func (p *planner) section(kind emblem.Kind, r io.Reader, total int, emit func(groupPlan) error) error {
-	totalChunks := (total + p.capacity - 1) / p.capacity
-	if totalChunks == 0 {
-		totalChunks = 1
+// newPlanner lays out the archive's groups and tallies the manifest from
+// the layout. It refuses an archive the emblem header cannot address
+// rather than wrap its frame indices and group ids (the restore side's
+// loss arithmetic depends on monotonic ids); the layout's bound stops at
+// what any addressable archive needs, its frames plus each sheet's
+// reserved slots.
+func newPlanner(opts Options, capacity int, man Manifest, sections []archiveSection) (*planner, error) {
+	reserved := boolInt(opts.Catalog) + boolInt(opts.Index)
+	groups, err := layoutGroups(sections, capacity, opts.GroupData, mocoder.GroupParity,
+		opts.SheetFrames, reserved, (1+reserved)*maxHeaderFrames)
+	if err != nil || groups[len(groups)-1].frame+groups[len(groups)-1].size() > maxHeaderFrames {
+		return nil, fmt.Errorf("core: archive exceeds the header's %d-frame/group limit; split the input across volumes", maxHeaderFrames)
 	}
-	for chunk := 0; chunk < totalChunks; {
-		g := p.opts.GroupData
-		if g > totalChunks-chunk {
-			g = totalChunks - chunk
+	p := &planner{opts: opts, capacity: capacity, groups: groups, man: man}
+	for _, g := range groups {
+		if g.kind == emblem.KindSystem {
+			p.man.SystemEmblems += g.data
+		} else {
+			p.man.DataEmblems += g.data
 		}
+		p.man.ParityEmblems += g.parity
+	}
+	last := groups[len(groups)-1]
+	p.man.Groups = len(groups)
+	p.man.TotalFrames = last.scanStart + last.size()
+	return p, nil
+}
 
-		group := make([][]byte, g)
-		padded := make([][]byte, g)
-		for i := range group {
-			n := p.capacity
-			if chunk+i == totalChunks-1 {
-				n = total - (totalChunks-1)*p.capacity
-			}
-			buf := make([]byte, n)
-			if _, err := io.ReadFull(r, buf); err != nil {
+// plan cuts the layout's groups in order, reading exactly each group's
+// stream extent from its section.
+func (p *planner) plan(sections []archiveSection, emit func(groupPlan) error) error {
+	for _, g := range p.groups {
+		sec := sections[g.sec]
+		gp := groupPlan{tasks: make([]frameTask, 0, g.size())}
+		add := func(payload []byte, k emblem.Kind, pos int) {
+			gp.tasks = append(gp.tasks, frameTask{
+				payload: payload,
+				hdr: emblem.Header{
+					Kind:        k,
+					Index:       uint16(g.frame + pos),
+					GroupID:     uint16(g.id),
+					GroupPos:    uint8(pos),
+					GroupData:   uint8(g.data),
+					GroupParity: uint8(g.parity),
+					TotalLen:    uint32(sec.total),
+				},
+			})
+		}
+		padded := make([][]byte, g.data)
+		for i := range padded {
+			buf := make([]byte, min(p.capacity, g.secLen-i*p.capacity))
+			if _, err := io.ReadFull(sec.r, buf); err != nil {
 				return fmt.Errorf("core: reading section stream: %w", err)
 			}
-			group[i] = buf
-			pd := make([]byte, p.capacity)
-			copy(pd, buf)
-			padded[i] = pd
+			padded[i] = make([]byte, p.capacity)
+			copy(padded[i], buf)
+			add(buf, g.kind, i)
 		}
 		parity, err := mocoder.GroupParityPayloads(padded)
 		if err != nil {
@@ -364,81 +474,18 @@ func (p *planner) section(kind emblem.Kind, r io.Reader, total int, emit func(gr
 		}
 		if p.opts.Catalog || p.opts.Index {
 			p.sums = append(p.sums, catalog.GroupSum{
-				Kind: kind, Data: uint8(g), Parity: uint8(len(parity)),
+				Kind: g.kind, Data: uint8(g.data), Parity: uint8(len(parity)),
 				CRC: catalog.GroupCRC(padded),
 			})
 		}
-
-		// The emblem header stores frame indices and group ids as uint16;
-		// reject archives that would wrap instead of corrupting silently
-		// (the restore side's loss arithmetic depends on monotonic ids).
-		if p.groupID > math.MaxUint16 || p.frameIdx+g+len(parity) > math.MaxUint16+1 {
-			return fmt.Errorf("core: archive exceeds the header's 65536-frame/group limit (frame %d, group %d); split the input across volumes",
-				p.frameIdx, p.groupID)
-		}
-
-		gp := groupPlan{tasks: make([]frameTask, 0, g+len(parity))}
-		add := func(payload []byte, k emblem.Kind, pos int) {
-			gp.tasks = append(gp.tasks, frameTask{
-				payload: payload,
-				hdr: emblem.Header{
-					Kind:        k,
-					Index:       uint16(p.frameIdx),
-					GroupID:     uint16(p.groupID),
-					GroupPos:    uint8(pos),
-					GroupData:   uint8(g),
-					GroupParity: uint8(p.opts.GroupParity),
-					TotalLen:    uint32(total),
-				},
-			})
-			p.frameIdx++
-		}
-		for i, c := range group {
-			add(c, kind, i)
-			if kind == emblem.KindSystem {
-				p.man.SystemEmblems++
-			} else {
-				p.man.DataEmblems++
-			}
-		}
 		for i, par := range parity {
-			add(par, emblem.KindParity, g+i)
-			p.man.ParityEmblems++
+			add(par, emblem.KindParity, g.data+i)
 		}
-		p.groupID++
-		chunk += g
-
 		if err := emit(gp); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// archiveSection is one planned section of the archive stream: its emblem
-// kind, its byte source and its exact length (known before the first
-// group is cut — every frame header carries the section TotalLen).
-type archiveSection struct {
-	kind  emblem.Kind
-	r     io.Reader
-	total int
-}
-
-// plannedFrames computes the archive's total frame count from the section
-// lengths alone — the same chunk/group arithmetic planner.section walks,
-// evaluated up front so the encode pool can be sized to the frames that
-// will actually exist.
-func plannedFrames(sections []archiveSection, capacity int, opts Options) int {
-	frames := 0
-	for _, sec := range sections {
-		chunks := (sec.total + capacity - 1) / capacity
-		if chunks == 0 {
-			chunks = 1
-		}
-		groups := (chunks + opts.GroupData - 1) / opts.GroupData
-		frames += chunks + groups*opts.GroupParity
-	}
-	return frames
 }
 
 // pipelineGroupDepth bounds how far the planner may run ahead of the
@@ -516,13 +563,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 			}
 			return nil
 		}
-		var err error
-		for _, sec := range sections {
-			if err = p.section(sec.kind, sec.r, sec.total, emit); err != nil {
-				break
-			}
-		}
-		planErr <- err
+		planErr <- p.plan(sections, emit)
 	}()
 
 	// Encode stage: the parallel middle. After cancellation the workers
@@ -578,8 +619,6 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 		if placeErr == nil {
 			if err := vol.WriteGroup(pg.frames); err != nil {
 				placeErr = fmt.Errorf("core: writing medium: %w", err)
-			} else {
-				p.groupSheets = append(p.groupSheets, vol.Sheets()-1)
 			}
 		}
 		if placeErr != nil {
@@ -613,32 +652,26 @@ func (p *planner) fillCatalogs(vol *media.Volume, capacity int, scratch *encScra
 	}
 	replica := catalog.EncodeEssentials(emu, mo)
 
-	sheets := make([]catalog.SheetRange, vol.Sheets())
-	for s := range sheets {
-		start, err := vol.SheetStart(s)
-		if err != nil {
-			return fmt.Errorf("core: catalog inventory: %w", err)
+	// The inventory is the layout's: each sheet opens with its reserved
+	// slots and holds the groups laid out on it.
+	reserved := vol.ReservedSlots()
+	sheets := make([]catalog.SheetRange, p.man.Sheets)
+	for _, g := range p.groups {
+		s := &sheets[g.sheet]
+		if s.Groups == 0 {
+			s.StartFrame, s.StartGroup = g.scanStart-reserved, g.id
 		}
-		m, err := vol.Sheet(s)
-		if err != nil {
-			return fmt.Errorf("core: catalog inventory: %w", err)
-		}
-		sheets[s] = catalog.SheetRange{StartFrame: start, Frames: m.FrameCount(), StartGroup: -1}
-	}
-	for g, s := range p.groupSheets {
-		if sheets[s].Groups == 0 {
-			sheets[s].StartGroup = g
-		}
-		sheets[s].Groups++
+		s.Groups++
+		s.Frames = g.scanStart + g.size() - s.StartFrame
 	}
 
 	c := &catalog.Catalog{
 		ArchiveID:    p.man.ArchiveID,
-		SheetCount:   vol.Sheets(),
-		TotalFrames:  p.frameIdx + vol.Sheets()*vol.ReservedSlots(),
-		TotalGroups:  p.groupID,
+		SheetCount:   p.man.Sheets,
+		TotalFrames:  p.man.TotalFrames,
+		TotalGroups:  p.man.Groups,
 		GroupData:    p.opts.GroupData,
-		GroupParity:  p.opts.GroupParity,
+		GroupParity:  mocoder.GroupParity,
 		Layout:       p.opts.Profile.Layout,
 		ProfileName:  p.opts.Profile.Name,
 		Compress:     p.opts.Compress,
@@ -751,7 +784,7 @@ func archiveID(opts Options, man Manifest, sums []catalog.GroupSum) uint64 {
 	mix(uint64(opts.Profile.Layout.DataW))
 	mix(uint64(opts.Profile.Layout.DataH))
 	mix(uint64(opts.GroupData))
-	mix(uint64(opts.GroupParity))
+	mix(uint64(mocoder.GroupParity))
 	mix(uint64(man.RawLen))
 	mix(uint64(man.StreamLen))
 	mix(uint64(man.SystemLen))

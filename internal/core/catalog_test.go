@@ -85,7 +85,7 @@ func TestCatalogOffIsByteIdentical(t *testing.T) {
 	}
 
 	c, err := CreateArchive(data, Options{Profile: prof, GroupData: opts.GroupData,
-		GroupParity: opts.GroupParity, Compress: true, Catalog: true, SheetFrames: 21})
+		Compress: true, Catalog: true, SheetFrames: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestRestoreToErroringWriter(t *testing.T) {
 	}
 }
 
-// TestEngineSalvageMatchesOneShot: the engine's scratch-reusing salvage
-// produces the same bytes and report as the one-shot entry point.
+// TestEngineSalvageMatchesOneShot: back-to-back salvages reusing pooled
+// scan scratch produce the same bytes and report as the first.
 func TestEngineSalvageMatchesOneShot(t *testing.T) {
 	arch, data := catalogArchive(t, false)
 	if err := arch.Volume.Destroy(0, 3); err != nil {
@@ -205,15 +205,14 @@ func TestEngineSalvageMatchesOneShot(t *testing.T) {
 	if !bytes.Equal(want, data) {
 		t.Fatal("salvage differs from input")
 	}
-	eng := NewEngine(2)
 	for trial := 0; trial < 3; trial++ {
 		var buf bytes.Buffer
-		rep, err := eng.SalvageTo(&buf, bag, SalvageOptions{})
+		rep, err := SalvageTo(&buf, bag, SalvageOptions{Workers: 2})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatalf("trial %d: engine salvage differs from one-shot", trial)
+			t.Fatalf("trial %d: salvage differs from the first", trial)
 		}
 		if !reflect.DeepEqual(rep, wantRep) {
 			t.Fatalf("trial %d: report diverged:\n%+v\n%+v", trial, rep, wantRep)

@@ -11,8 +11,11 @@
 //	archive:  split → encode frame → place on medium     (archive.go)
 //	restore:  scan → decode frame → reassemble           (engine.go, restore.go)
 //
-// Every restore entry point — full restore, range and table queries,
-// salvage — is one Engine executor run over its own frame plan.
+// One layout function (layoutGroups) decides where every outer-code group
+// lands; the archive planner cuts its groups and a query replays it from
+// the index. Every restore entry point — full restore, range and table
+// queries, salvage — is one executor run (decodeFrames) over its own
+// frame plan, borrowing per-worker scan scratch from a pool.
 //
 // The split/plan and reassemble stages are serial (they carry the
 // cross-frame state: chunking, outer-code groups, stream totals); the
@@ -63,10 +66,9 @@ func (m Mode) String() string {
 
 // Options configures archival.
 type Options struct {
-	Profile     media.Profile
-	GroupData   int  // data emblems per outer-code group (default 17)
-	GroupParity int  // parity emblems per group (default 3)
-	Compress    bool // run DBCoder (default); false archives raw payloads
+	Profile   media.Profile
+	GroupData int  // data emblems per outer-code group (default and maximum 17; parity is fixed at 3)
+	Compress  bool // run DBCoder (default); false archives raw payloads
 
 	// CompressDepth is DBCoder's match-finder chain depth (0 selects
 	// dbcoder.DefaultDepth): the archive-speed vs density dial — lower
@@ -94,8 +96,8 @@ type Options struct {
 	// volumes can be restored by Salvage from an unordered bag of sheets
 	// with no external bootstrap text. Off by default — catalog-free
 	// archives stay byte-identical to previous releases. The catalog slot
-	// counts against SheetFrames, so a bounded sheet needs
-	// GroupData+GroupParity+1 frames of capacity.
+	// counts against SheetFrames, so a bounded sheet needs one frame more
+	// than a group (GroupData plus 3 parity frames).
 	Catalog bool
 
 	// Index reserves one more frame per sheet for a selective-restore
@@ -127,10 +129,9 @@ type Options struct {
 // DefaultOptions returns the paper's configuration for a profile.
 func DefaultOptions(p media.Profile) Options {
 	return Options{
-		Profile:     p,
-		GroupData:   mocoder.GroupData,
-		GroupParity: mocoder.GroupParity,
-		Compress:    true,
+		Profile:   p,
+		GroupData: mocoder.GroupData,
+		Compress:  true,
 	}
 }
 

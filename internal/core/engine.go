@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"microlonys/dynarisc"
 	"microlonys/internal/bootstrap"
@@ -11,29 +12,6 @@ import (
 	"microlonys/internal/mocoder"
 	"microlonys/media"
 )
-
-// Engine is the restore executor, and the one implementation of every
-// restore entry point: full restore, range and table queries, the index
-// listing and salvage all run through its decodeFrames. It owns the
-// per-worker scan scratch (full-resolution scan buffers, decoder tables,
-// emulator state), so a caller running many restores back to back — the
-// damage-campaign harness runs thousands of trial restores per sweep —
-// pays the buffers once per worker instead of once per restore; the
-// one-shot functions run on a fresh Engine per call. An Engine is not safe
-// for concurrent use; create one per goroutine (the campaign runner keeps
-// one per trial worker).
-type Engine struct {
-	workers int
-	scratch []scanScratch
-}
-
-// NewEngine returns an engine whose restores run with the given worker
-// count (same semantics as RestoreOptions.Workers: 0 = GOMAXPROCS,
-// 1 = serial).
-func NewEngine(workers int) *Engine {
-	w := resolveWorkers(workers, 0) // no volume yet: scratch for the full pool
-	return &Engine{workers: w, scratch: make([]scanScratch, w)}
-}
 
 // frameAddr is one entry of a frame plan: the sheet to scan and the slot
 // on it. A full restore plans every frame of the volume, a query only the
@@ -88,8 +66,11 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 	return d, nil
 }
 
-// decodeFrames runs the scan and decode stages of the restoration pipeline
-// (Figure 2b) over a frame plan. Scan and decode are fused into one
+// decodeFrames is the restore executor, and the one implementation of
+// every restore entry point: full restore, range and table queries, the
+// index listing and salvage all run the scan and decode stages of the
+// restoration pipeline (Figure 2b) through it, over their own frame plans
+// and with at most `workers` workers. Scan and decode are fused into one
 // parallel per-frame stage — a scan feeds exactly one decode, so splitting
 // them would only buffer full-resolution frame images between two stages
 // of the same fan-out. Workers decode frames in any order; one consumer
@@ -100,12 +81,22 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 // what the outer code is for — but a frame that cannot even be scanned, a
 // consume error or cancellation stops the run; every such error matches
 // ErrRestore.
-func (e *Engine) decodeFrames(ctx context.Context, sheets []*media.Medium, plan []frameAddr, d *frameDecoder, consume func(k int, res *frameResult) error) error {
+func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan []frameAddr, d *frameDecoder, consume func(k int, res *frameResult) error) error {
 	n := len(plan)
 	results := make([]frameResult, n)
+	workers = resolveWorkers(workers, n)
+	scratch := make([]*scanScratch, workers)
+	for w := range scratch {
+		scratch[w] = scratchPool.Get().(*scanScratch)
+	}
+	defer func() {
+		for _, sc := range scratch {
+			scratchPool.Put(sc)
+		}
+	}()
 	// Sized so workers never block on a momentarily busy consumer: twice
 	// the live pool plus one group of slack.
-	completed := make(chan int, 2*resolveWorkers(e.workers, n)+mocoder.GroupData+mocoder.GroupParity)
+	completed := make(chan int, 2*workers+mocoder.GroupData+mocoder.GroupParity)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -128,8 +119,8 @@ func (e *Engine) decodeFrames(ctx context.Context, sheets []*media.Medium, plan 
 		consumerErr <- cerr
 	}()
 
-	decErr := forEachFrame(ctx, e.workers, n, func(_ context.Context, worker, k int) error {
-		sc := &e.scratch[worker]
+	decErr := forEachFrame(ctx, workers, n, func(_ context.Context, worker, k int) error {
+		sc := scratch[worker]
 		a := plan[k]
 		scan, err := sheets[a.sheet].ScanFrameInto(&sc.scan, a.slot)
 		if err != nil {
@@ -176,3 +167,10 @@ type scanScratch struct {
 	dec  mocoder.DecodeScratch
 	emu  emuScratch
 }
+
+// scratchPool keeps idle scanScratch between runs: decodeFrames borrows
+// one per worker and returns them when the run ends, so back-to-back
+// restores — the damage campaign's thousands of trials, a job worker's
+// queue — pay the buffers once instead of once per call, with no state
+// for the caller to create, size or confine.
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"microlonys/internal/mocoder"
 	"microlonys/media"
 )
 
@@ -17,7 +18,7 @@ func partialArchive(t *testing.T, n int) (*Archived, []byte) {
 	data := testPayload(n)
 	opts := DefaultOptions(tinyProfile())
 	opts.Compress = false
-	opts.SheetFrames = 2 * (opts.GroupData + opts.GroupParity)
+	opts.SheetFrames = 2 * (opts.GroupData + mocoder.GroupParity)
 	arch, err := CreateArchive(data, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +68,7 @@ func TestPartialStatsAccounting(t *testing.T) {
 			damage: func(t *testing.T, v *media.Volume) {
 				// A contiguous run longer than parity, confined to one
 				// group (frames 0..19 of sheet 0 are the first group).
-				for j := 0; j < DefaultOptions(tinyProfile()).GroupParity+2; j++ {
+				for j := 0; j < mocoder.GroupParity+2; j++ {
 					if err := v.Destroy(0, j); err != nil {
 						t.Fatal(err)
 					}

@@ -24,8 +24,8 @@ import (
 // given — then the result is capped at live, the number of work items
 // actually available (frames to encode or scan), so tiny inputs never
 // spin up goroutines that would exit without claiming a frame. live <= 0
-// means the item count is unknown at call time (an Engine sizes its
-// scratch before ever seeing a volume) and leaves the pool uncapped.
+// means the item count is unknown at call time and leaves the pool
+// uncapped.
 func resolveWorkers(n, live int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)

@@ -89,7 +89,7 @@ func splitStage(data []byte, opts Options, capacity int) (*framePlan, error) {
 						GroupID:     uint16(groupID),
 						GroupPos:    uint8(pos),
 						GroupData:   uint8(g),
-						GroupParity: uint8(opts.GroupParity),
+						GroupParity: uint8(mocoder.GroupParity),
 						TotalLen:    uint32(len(sec.stream)),
 					},
 				})

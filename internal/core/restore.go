@@ -24,7 +24,7 @@ import (
 //	decode:     scan → header + payload, natively or under emulation
 //	reassemble: decoded frames → outer-code groups → streams → DBDecode
 //
-// Scan and decode run on the Engine's executor (decodeFrames), which hands
+// Scan and decode run on the restore executor (decodeFrames), which hands
 // frames to the reassemble stage in plan order as the workers finish them.
 // Reassembly is group-incremental: the moment a group's last frame is
 // consumed the group is outer-recovered, trimmed and flushed — raw
@@ -46,21 +46,11 @@ func RestoreWithOptions(m *media.Medium, bootstrapText string, ro RestoreOptions
 	return RestoreVolume(media.VolumeOf(m), bootstrapText, ro)
 }
 
-// RestoreVolume restores a multi-sheet volume into memory.
-func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return NewEngine(ro.Workers).RestoreVolume(v, bootstrapText, ro)
-}
-
-// RestoreToWriter restores a volume to w; see Engine.RestoreToWriter.
-func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
-	return NewEngine(ro.Workers).RestoreToWriter(w, v, bootstrapText, ro)
-}
-
 // RestoreVolume restores a multi-sheet volume into memory:
 // RestoreToWriter over a bytes.Buffer.
-func (e *Engine) RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
 	var buf bytes.Buffer
-	st, err := e.RestoreToWriter(&buf, v, bootstrapText, ro)
+	st, err := RestoreToWriter(&buf, v, bootstrapText, ro)
 	if err != nil {
 		return nil, st, err
 	}
@@ -71,10 +61,9 @@ func (e *Engine) RestoreVolume(v *media.Volume, bootstrapText string, ro Restore
 // Bootstrap text, writing the restored archive bytes to w. Raw archives
 // stream group by group as their frames decode; compressed archives
 // accumulate only the (small) compressed stream before DBDecode runs. On
-// error, w may already have received a prefix of the output. The options'
-// Workers field is overridden by the engine's pool size; bytes and stats
-// are identical at any worker count.
-func (e *Engine) RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
+// error, w may already have received a prefix of the output. Bytes and
+// stats are identical at any worker count.
+func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
@@ -93,14 +82,14 @@ func (e *Engine) RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText str
 	// index=1): the leading frames of every sheet are out-of-band catalog
 	// and index emblems the group assembler must treat as no group's
 	// members — their loss is not a data loss.
-	asm := newAssembler(st, w, mocoder.Capacity(doc.Layout), doc.GroupParity, ro.Partial)
+	asm := newAssembler(st, w, mocoder.Capacity(doc.Layout), ro.Partial)
 	reserved := boolInt(doc.Catalog) + boolInt(doc.Index)
 	asm.sheetOf, asm.catSlot = make([]int, len(plan)), make([]bool, len(plan))
 	for i, a := range plan {
 		asm.sheetOf[i], asm.catSlot[i] = a.sheet, a.slot < reserved
 	}
 
-	if err := e.decodeFrames(orBackground(ro.Context), sheets, plan, dec, asm.consume); err != nil {
+	if err := decodeFrames(orBackground(ro.Context), ro.Workers, sheets, plan, dec, asm.consume); err != nil {
 		return st, err
 	}
 	if err := asm.finish(); err != nil {
@@ -203,18 +192,17 @@ func (s *kindSink) write(b []byte) (int, error) {
 // frame whether or not that frame decodes, and a group with no decodable
 // frame is lost on its own rather than merged into a run.
 type assembler struct {
-	st          *RestoreStats
-	capacity    int
-	groupParity int // the Bootstrap's parity-per-group (loss arithmetic)
-	partial     bool
-	out         io.Writer
-	dataBuf     *bytes.Buffer
-	sysBuf      *bytes.Buffer
-	sinks       map[emblem.Kind]*kindSink
-	sheetOf     []int
-	catSlot     []bool // per-index: a reserved catalog or index slot (nil: none)
-	sums        []catalog.GroupSum
-	zeros       []byte
+	st       *RestoreStats
+	capacity int
+	partial  bool
+	out      io.Writer
+	dataBuf  *bytes.Buffer
+	sysBuf   *bytes.Buffer
+	sinks    map[emblem.Kind]*kindSink
+	sheetOf  []int
+	catSlot  []bool // per-index: a reserved catalog or index slot (nil: none)
+	sums     []catalog.GroupSum
+	zeros    []byte
 
 	// planned, when non-nil, lists a query's selected groups in plan
 	// order; nextPlanned is the next one to open.
@@ -243,16 +231,15 @@ type assembler struct {
 	pendingZeroFrames int
 }
 
-func newAssembler(st *RestoreStats, out io.Writer, capacity, groupParity int, partial bool) *assembler {
+func newAssembler(st *RestoreStats, out io.Writer, capacity int, partial bool) *assembler {
 	return &assembler{
-		st:          st,
-		capacity:    capacity,
-		groupParity: groupParity,
-		partial:     partial,
-		out:         out,
-		sinks:       map[emblem.Kind]*kindSink{},
-		zeros:       make([]byte, capacity),
-		lastClosed:  -1,
+		st:         st,
+		capacity:   capacity,
+		partial:    partial,
+		out:        out,
+		sinks:      map[emblem.Kind]*kindSink{},
+		zeros:      make([]byte, capacity),
+		lastClosed: -1,
 	}
 }
 
@@ -463,7 +450,7 @@ func (a *assembler) closeGroup() error {
 // whole carrier — are gone. nextID is the group id that ends the range
 // (the id of the group whose decoded frame exposed it), so the group
 // arithmetic is exact: the range holds nextID-lastClosed-1 groups, each
-// carrying groupParity parity frames, and the rest of its frames are data.
+// carrying GroupParity parity frames, and the rest of its frames are data.
 func (a *assembler) lostRange(start, n, nextID int) error {
 	nCat := a.catalogSlots(start, n)
 	lostGroups := nextID - a.lastClosed - 1
@@ -496,11 +483,11 @@ func (a *assembler) lostRange(start, n, nextID int) error {
 		})
 	}
 	// Zero-fill the lost data bytes so later groups stay at their archive
-	// offsets: the range held lostGroups*groupParity parity frames and
+	// offsets: the range held lostGroups*GroupParity parity frames and
 	// nCat reserved catalog slots, the rest were data. When the range
 	// spans a section boundary the fill past the section's TotalLen is
 	// trimmed away and finish pads the following section instead.
-	return a.fillLost(n - nCat - lostGroups*a.groupParity)
+	return a.fillLost(n - nCat - lostGroups*mocoder.GroupParity)
 }
 
 // lostFrames counts frames [start, start+n) as lost: they failed to

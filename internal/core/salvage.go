@@ -84,11 +84,6 @@ func Salvage(sheets []*media.Medium, opts SalvageOptions) ([]byte, *SalvageRepor
 	return buf.Bytes(), rep, nil
 }
 
-// SalvageTo restores an unordered bag of sheets to w; see Engine.SalvageTo.
-func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
-	return NewEngine(opts.Workers).SalvageTo(w, sheets, opts)
-}
-
 // bagSheet is one presented sheet's identification state.
 type bagSheet struct {
 	present int              // position in the bag
@@ -103,9 +98,8 @@ type bagSheet struct {
 // SalvageTo restores an unordered bag of sheets to w, best-effort, with
 // no external bootstrap text. On error, w may hold a prefix of the
 // output; the report — returned alongside most errors — still carries
-// the identification ledger. The options' Workers field is overridden by
-// the engine's pool size.
-func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
+// the identification ledger.
+func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*SalvageReport, error) {
 	rep := &SalvageReport{SheetsPresented: len(sheets)}
 	ctx := orBackground(opts.Context)
 
@@ -141,7 +135,7 @@ func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOpti
 		results[k] = *res
 		return nil
 	}
-	if err := e.decodeFrames(ctx, sheets, frames, &frameDecoder{mode: RestoreNative, layout: layout}, keep); err != nil {
+	if err := decodeFrames(ctx, opts.Workers, sheets, frames, &frameDecoder{mode: RestoreNative, layout: layout}, keep); err != nil {
 		return rep, err
 	}
 
@@ -248,7 +242,7 @@ func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOpti
 			}
 		}
 		dec := &frameDecoder{mode: opts.Mode, layout: layout, moProg: moProg}
-		if err := e.decodeFrames(ctx, sheets, plan, dec, func(j int, res *frameResult) error {
+		if err := decodeFrames(ctx, opts.Workers, sheets, plan, dec, func(j int, res *frameResult) error {
 			results[redo[j]] = *res
 			return nil
 		}); err != nil {
@@ -269,7 +263,7 @@ func (e *Engine) SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOpti
 	st := &RestoreStats{Mode: opts.Mode, Sheets: make([]SheetReport, numSheets)}
 	st.CatalogFrames = rep.CatalogFrames
 	st.IndexFrames = rep.IndexFrames
-	asm := newAssembler(st, w, capacity, groupParityOf(best, results), true)
+	asm := newAssembler(st, w, capacity, true)
 	asm.sheetOf = plannerSheetOf(nTotal, numSheets, kept, best, reserved)
 	if best != nil {
 		asm.sums = best.Groups
@@ -522,28 +516,6 @@ func placeFrames(kept []*bagSheet, frames []frameAddr, results []frameResult, re
 		planner[pi] = *res
 	}
 	return planner
-}
-
-// groupParityOf resolves the parity-per-group the loss arithmetic needs:
-// the catalog states it; otherwise the surviving frame headers vote.
-func groupParityOf(best *catalog.Catalog, results []frameResult) int {
-	if best != nil && best.GroupParity > 0 {
-		return best.GroupParity
-	}
-	votes := map[int]int{}
-	for i := range results {
-		if results[i].decoded && results[i].hdr.Kind != emblem.KindCatalog &&
-			results[i].hdr.Kind != emblem.KindIndex {
-			votes[int(results[i].hdr.GroupParity)]++
-		}
-	}
-	bestV, bestN := mocoder.GroupParity, 0
-	for v, n := range votes {
-		if v > 0 && (n > bestN || (n == bestN && v < bestV)) {
-			bestV, bestN = v, n
-		}
-	}
-	return bestV
 }
 
 // plannerSheetOf maps planner frame indices to original sheet ordinals

@@ -23,13 +23,13 @@ import (
 //
 //	probe:    read one sheet's reserved index emblem (internal/archindex) —
 //	          the logical→physical map every sheet carries
-//	plan:     replay the planner's group-cutting and the volume's
-//	          sheet-cutting arithmetic from the index's integers, deriving
-//	          every group's (sheet, frame, stream-offset) extent; map the
-//	          requested raw range onto the archived stream (directly for
-//	          raw archives, through the DBS1 restart-block table for
-//	          compressed ones)
-//	decode:   plan only the overlapping groups' frames for the Engine's
+//	plan:     replay the archive's own layout (layoutGroups) from the
+//	          index's integers, bounded by the volume's frame count,
+//	          deriving every group's (sheet, frame, stream-offset)
+//	          extent; map the requested raw range onto the archived stream
+//	          (directly for raw archives, through the DBS1 restart-block
+//	          table for compressed ones)
+//	decode:   plan only the overlapping groups' frames for the restore
 //	          executor — whole sheets outside the query are never scanned —
 //	          and assemble them through the full restore's assembler
 //	finish:   decompress only the overlapping restart blocks and trim to
@@ -48,34 +48,11 @@ import (
 // full restore.
 var errIndexMiss = errors.New("core: the index cannot answer the query")
 
-// RestoreRange restores bytes [off, off+length) of the original archive;
-// see Engine.RestoreRange.
-func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return NewEngine(ro.Workers).RestoreRange(v, bootstrapText, off, length, ro)
-}
-
-// RestoreSection restores one named section; see Engine.RestoreSection.
-func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return NewEngine(ro.Workers).RestoreSection(v, bootstrapText, name, ro)
-}
-
-// RestoreTable restores one SQL-dump table's rows region by name. It is
-// RestoreSection under the table-name convention.
-func RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return NewEngine(ro.Workers).RestoreSection(v, bootstrapText, table, ro)
-}
-
-// ListIndex reads the volume's selective-restore index; see
-// Engine.ListIndex.
-func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
-	return NewEngine(ro.Workers).ListIndex(v, bootstrapText, ro)
-}
-
 // RestoreRange restores exactly bytes [off, off+length) of the original
 // archive from an indexed volume, scanning only the frames the range
 // touches. The bytes are identical to the same slice of a full Restore.
 // Volumes without a usable index fall back to a full restore.
-func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
 	if off < 0 || length < 0 {
 		return nil, nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
 	}
@@ -86,7 +63,7 @@ func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length
 		}
 		return nil
 	}
-	return e.query(v, bootstrapText, ro,
+	return query(v, bootstrapText, ro,
 		func(x *archindex.Index) (int, int, error) { return off, length, inside(x.RawLen) },
 		func(data []byte) ([]byte, error) {
 			if err := inside(len(data)); err != nil {
@@ -101,8 +78,8 @@ func (e *Engine) RestoreRange(v *media.Volume, bootstrapText string, off, length
 // through the index's section table. A column restores its minimal
 // contiguous cover: the owning table's whole rows region. Names the index
 // cannot resolve fall back to a full restore and are located there.
-func (e *Engine) RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return e.query(v, bootstrapText, ro,
+func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	return query(v, bootstrapText, ro,
 		func(x *archindex.Index) (int, int, error) {
 			if sec, ok := x.Lookup(name); ok {
 				return sec.Off, sec.Len, nil
@@ -112,22 +89,23 @@ func (e *Engine) RestoreSection(v *media.Volume, bootstrapText, name string, ro 
 		func(data []byte) ([]byte, error) { return locateSection(data, name) })
 }
 
-// RestoreTable is RestoreSection under the table-name convention.
-func (e *Engine) RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return e.RestoreSection(v, bootstrapText, table, ro)
+// RestoreTable restores one SQL-dump table's rows region by name. It is
+// RestoreSection under the table-name convention.
+func RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	return RestoreSection(v, bootstrapText, table, ro)
 }
 
 // ListIndex reads the volume's selective-restore index — archive
 // identity, geometry, restart blocks, named sections — without decoding
 // any payload group. There is no full-restore fallback: a volume with no
 // readable index reports ErrRestore.
-func (e *Engine) ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
+func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
 	st := newStats(v, ro.Mode)
-	x, err := e.readIndex(orBackground(ro.Context), v, doc, ro.Mode, st)
+	x, err := readIndex(orBackground(ro.Context), v, doc, ro.Mode, st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -145,7 +123,7 @@ func (e *Engine) ListIndex(v *media.Volume, bootstrapText string, ro RestoreOpti
 // falls back to a full restore and locate finds the answer in the
 // restored bytes, so a query never fails where a full restore would
 // succeed.
-func (e *Engine) query(v *media.Volume, bootstrapText string, ro RestoreOptions,
+func query(v *media.Volume, bootstrapText string, ro RestoreOptions,
 	resolve func(*archindex.Index) (off, length int, err error), locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
@@ -153,7 +131,7 @@ func (e *Engine) query(v *media.Volume, bootstrapText string, ro RestoreOptions,
 	}
 	st := newStats(v, ro.Mode)
 	ctx := orBackground(ro.Context)
-	x, err := e.readIndex(ctx, v, doc, ro.Mode, st)
+	x, err := readIndex(ctx, v, doc, ro.Mode, st)
 	if err != nil {
 		return nil, st, err
 	}
@@ -161,7 +139,7 @@ func (e *Engine) query(v *media.Volume, bootstrapText string, ro RestoreOptions,
 		off, length, err := resolve(x)
 		if err == nil {
 			var out []byte
-			if out, err = e.selectiveRange(ctx, v, doc, x, off, length, ro, st); err == nil {
+			if out, err = selectiveRange(ctx, v, doc, x, off, length, ro, st); err == nil {
 				return out, st, nil
 			}
 		}
@@ -169,15 +147,15 @@ func (e *Engine) query(v *media.Volume, bootstrapText string, ro RestoreOptions,
 			return nil, st, err
 		}
 	}
-	return e.fullRestoreLocate(v, bootstrapText, ro, locate)
+	return fullRestoreLocate(v, bootstrapText, ro, locate)
 }
 
 // fullRestoreLocate answers a query the index could not: a full restore,
 // counted in IndexFallbacks, then locate finds the answer in the restored
 // bytes.
-func (e *Engine) fullRestoreLocate(v *media.Volume, bootstrapText string, ro RestoreOptions, locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
+func fullRestoreLocate(v *media.Volume, bootstrapText string, ro RestoreOptions, locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
 	var buf bytes.Buffer
-	st, err := e.RestoreToWriter(&buf, v, bootstrapText, ro)
+	st, err := RestoreToWriter(&buf, v, bootstrapText, ro)
 	st.IndexFallbacks++
 	if err != nil {
 		return nil, st, err
@@ -216,7 +194,7 @@ func locateSection(data []byte, name string) ([]byte, error) {
 // cancellation, wrapping ErrRestore and the context's error: each probe
 // checks ctx, so a query on a large damaged volume aborts between frame
 // scans.
-func (e *Engine) readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, mode Mode, st *RestoreStats) (*archindex.Index, error) {
+func readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, mode Mode, st *RestoreStats) (*archindex.Index, error) {
 	var dec *frameDecoder
 	if doc.Index {
 		dec, _ = newFrameDecoder(doc, mode) // nil when MODecode is unreadable
@@ -236,7 +214,7 @@ func (e *Engine) readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.
 			}
 			var res frameResult
 			keep := func(_ int, r *frameResult) error { res = *r; return nil }
-			if err := e.decodeFrames(ctx, sheets, []frameAddr{{s, slot}}, dec, keep); err != nil {
+			if err := decodeFrames(ctx, 1, sheets, []frameAddr{{s, slot}}, dec, keep); err != nil {
 				return nil, err
 			}
 			st.FramesScanned++
@@ -279,95 +257,33 @@ func (e *Engine) readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.
 	return x, err
 }
 
-// groupExtent is one outer-code group's derived physical placement: its
-// id and shape, the stream extent it carries, and the global scan-space
-// index of its first frame.
-type groupExtent struct {
-	id             int
-	kind           emblem.Kind
-	data, parity   int
-	secOff, secLen int // byte extent within the group's section stream
-	scanStart      int // global frame index of the group's first frame
-}
-
-// planGeometry replays the planner's group-cutting and the volume's
-// sheet-cutting arithmetic from the index's dozen integers, re-deriving
-// every group's physical extent — the index stores parameters, not
-// tables. The derived frame and sheet totals are checked against the
-// volume in hand; a contradiction (a damaged or stale index) reports
-// errIndexMiss so the caller falls back to a full restore.
+// planGeometry replays the archive's layout from the index's dozen
+// integers — the index stores parameters, not tables — deriving every
+// group's physical extent, bounded by the volume in hand so a forged
+// index costs no more than the volume's own frame count. A layout that
+// contradicts the volume's frame and sheet totals (a damaged or stale
+// index) reports errIndexMiss so the caller falls back to a full restore.
 func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExtent, error) {
-	if capacity <= 0 || x.GroupData <= 0 {
-		return nil, errIndexMiss
-	}
-	reserved := 1 + boolInt(x.CatalogSlot) // the index slot plus the optional catalog slot
-	bounded := x.SheetFrames > 0
-	usable := x.SheetFrames - reserved
-	if bounded && usable <= 0 {
-		return nil, errIndexMiss
-	}
-	type sec struct {
-		kind  emblem.Kind
-		total int
-	}
-	var secs []sec
+	secs := []archiveSection{{kind: emblem.KindRaw, total: x.RawLen}}
 	if x.Compress {
-		secs = []sec{{emblem.KindData, x.StreamLen}, {emblem.KindSystem, x.SystemLen}}
-	} else {
-		secs = []sec{{emblem.KindRaw, x.RawLen}}
+		secs = []archiveSection{{kind: emblem.KindData, total: x.StreamLen}, {kind: emblem.KindSystem, total: x.SystemLen}}
 	}
-
-	var out []groupExtent
-	gid := 0
-	sheet, fill := 0, 0 // open sheet and its placed (non-reserved) frames
-	sheetStartScan := 0 // global scan index of the open sheet's frame 0
-	for _, s := range secs {
-		totalChunks := (s.total + capacity - 1) / capacity
-		if totalChunks == 0 {
-			totalChunks = 1
-		}
-		for chunk := 0; chunk < totalChunks; {
-			g := x.GroupData
-			if g > totalChunks-chunk {
-				g = totalChunks - chunk
-			}
-			size := g + x.GroupParity
-			if bounded {
-				if size > usable {
-					return nil, errIndexMiss
-				}
-				if fill+size > usable {
-					sheetStartScan += reserved + fill
-					sheet++
-					fill = 0
-				}
-			}
-			secOff := chunk * capacity
-			secEnd := (chunk + g) * capacity
-			if secEnd > s.total {
-				secEnd = s.total
-			}
-			out = append(out, groupExtent{
-				id: gid, kind: s.kind, data: g, parity: x.GroupParity,
-				secOff: secOff, secLen: secEnd - secOff,
-				scanStart: sheetStartScan + reserved + fill,
-			})
-			fill += size
-			gid++
-			chunk += g
-		}
+	// The index slot plus the optional catalog slot.
+	geo, err := layoutGroups(secs, capacity, x.GroupData, x.GroupParity, x.SheetFrames, 1+boolInt(x.CatalogSlot), v.FrameCount())
+	if err != nil {
+		return nil, err
 	}
-	if sheetStartScan+reserved+fill != v.FrameCount() || sheet+1 != v.Sheets() {
+	if last := geo[len(geo)-1]; last.scanStart+last.size() != v.FrameCount() || last.sheet+1 != v.Sheets() {
 		return nil, errIndexMiss
 	}
-	return out, nil
+	return geo, nil
 }
 
 // selectiveRange restores raw bytes [off, off+length) through the index:
 // it selects the minimal closed set of groups, plans only their frames,
 // assembles them through the full restore's assembler — each group opened
 // from its extent — and decompresses only the overlapping restart blocks.
-func (e *Engine) selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, st *RestoreStats) ([]byte, error) {
+func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, st *RestoreStats) ([]byte, error) {
 	capacity := mocoder.Capacity(doc.Layout)
 	geo, err := planGeometry(x, capacity, v)
 	if err != nil {
@@ -437,7 +353,7 @@ func (e *Engine) selectiveRange(ctx context.Context, v *media.Volume, doc *boots
 	sheets, all := volumePlan(v)
 	var plan []frameAddr
 	for _, g := range sel {
-		plan = append(plan, all[g.scanStart:g.scanStart+g.data+g.parity]...)
+		plan = append(plan, all[g.scanStart:g.scanStart+g.size()]...)
 	}
 
 	// The target section's sink starts at the first selected group's
@@ -445,7 +361,7 @@ func (e *Engine) selectiveRange(ctx context.Context, v *media.Volume, doc *boots
 	// lost group (Partial mode) zero-fills exactly its stream extent, which
 	// is what the full restore's trimmed sink writes.
 	var span, sys bytes.Buffer
-	asm := newAssembler(st, nil, capacity, x.GroupParity, ro.Partial)
+	asm := newAssembler(st, nil, capacity, ro.Partial)
 	asm.planned = sel
 	asm.sinks[kind] = &kindSink{w: &span, total: total, written: firstOff}
 	asm.sinks[emblem.KindSystem] = &kindSink{w: &sys, total: x.SystemLen}
@@ -453,7 +369,7 @@ func (e *Engine) selectiveRange(ctx context.Context, v *media.Volume, doc *boots
 	for k, a := range plan {
 		asm.sheetOf[k] = a.sheet
 	}
-	err = e.decodeFrames(ctx, sheets, plan, dec, asm.consume)
+	err = decodeFrames(ctx, ro.Workers, sheets, plan, dec, asm.consume)
 	st.GroupsDecoded = len(st.Groups)
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ import (
 
 // indexedArchive archives a small TPC-H dump onto an indexed catalog
 // volume of several sheets. Returns the archive and the dump bytes.
-func indexedArchive(t *testing.T, compress bool) (*Archived, []byte) {
+func indexedArchive(t testing.TB, compress bool) (*Archived, []byte) {
 	t.Helper()
 	prof := tinyProfile()
 	capacity := mocoder.Capacity(prof.Layout)
@@ -437,26 +438,29 @@ func TestSalvageIndexedVolume(t *testing.T) {
 	}
 }
 
-// TestEngineRangeMatchesOneShot: the engine's scratch-reusing range
-// queries repeat byte-identically and match the one-shot entry point.
+// TestEngineRangeMatchesOneShot: back-to-back range queries reusing
+// pooled scan scratch repeat the first query byte for byte and stat for
+// stat.
 func TestEngineRangeMatchesOneShot(t *testing.T) {
 	arch, data := indexedArchive(t, true)
-	want, _, err := RestoreRange(arch.Volume, arch.BootstrapText, 128, 1024,
-		RestoreOptions{Mode: RestoreNative, Workers: 2})
+	ro := RestoreOptions{Mode: RestoreNative, Workers: 2}
+	want, wantSt, err := RestoreRange(arch.Volume, arch.BootstrapText, 128, 1024, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want, data[128:128+1024]) {
-		t.Fatal("one-shot range differs from input slice")
+		t.Fatal("range differs from input slice")
 	}
-	eng := NewEngine(2)
 	for trial := 0; trial < 3; trial++ {
-		got, _, err := eng.RestoreRange(arch.Volume, arch.BootstrapText, 128, 1024, RestoreOptions{Mode: RestoreNative})
+		got, st, err := RestoreRange(arch.Volume, arch.BootstrapText, 128, 1024, ro)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("trial %d: engine range differs from one-shot", trial)
+			t.Fatalf("trial %d: range differs from the first", trial)
+		}
+		if !reflect.DeepEqual(st, wantSt) {
+			t.Fatalf("trial %d: stats diverged: %+v vs %+v", trial, st, wantSt)
 		}
 	}
 }

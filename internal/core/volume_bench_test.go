@@ -153,7 +153,7 @@ func BenchmarkP6ArchivePeak(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					doc := bootstrap.New(prof.Name, prof.Layout, opts.GroupData, opts.GroupParity, emu, mo)
+					doc := bootstrap.New(prof.Name, prof.Layout, opts.GroupData, mocoder.GroupParity, emu, mo)
 					return [3]any{frames, m, doc.Render()}
 				})
 			})
@@ -197,7 +197,7 @@ func BenchmarkP6ReassemblePeak(b *testing.B) {
 			peak = benchHeapPeak(func() {
 				st := &RestoreStats{Sheets: make([]SheetReport, 1)}
 				asm := &assembler{
-					st: st, capacity: capacity, groupParity: opts.GroupParity,
+					st: st, capacity: capacity,
 					out: io.Discard, sinks: map[emblem.Kind]*kindSink{},
 					sheetOf: sheetOf, zeros: make([]byte, capacity), lastClosed: -1,
 				}

@@ -45,51 +45,43 @@ func planOnly(data []byte, opts Options) (Manifest, []groupPlan, error) {
 	if opts.GroupData <= 0 {
 		opts.GroupData = mocoder.GroupData
 	}
-	if opts.GroupParity <= 0 {
-		opts.GroupParity = mocoder.GroupParity
-	}
 	capacity := mocoder.Capacity(opts.Profile.Layout)
-	p := &planner{opts: opts, capacity: capacity}
 	var plans []groupPlan
 	emit := func(gp groupPlan) error { plans = append(plans, gp); return nil }
 
 	// Mirror CreateArchiveStream's section resolution.
-	type section struct {
-		kind  emblem.Kind
-		r     io.Reader
-		total int
-	}
-	var sections []section
+	var man Manifest
+	var sections []archiveSection
 	if opts.Compress {
 		depth := opts.CompressDepth
 		if depth <= 0 {
 			depth = dbcoder.DefaultDepth
 		}
 		stream := dbcoder.CompressDepth(data, depth)
-		p.man.RawLen = len(data)
-		p.man.StreamLen = len(stream)
+		man.RawLen = len(data)
+		man.StreamLen = len(stream)
 		_, _, prog, err := archivedPrograms()
 		if err != nil {
 			return Manifest{}, nil, err
 		}
 		sys := bootstrap.MarshalDynaRisc(prog)
-		p.man.SystemLen = len(sys)
-		sections = []section{
+		man.SystemLen = len(sys)
+		sections = []archiveSection{
 			{emblem.KindData, bytes.NewReader(stream), len(stream)},
 			{emblem.KindSystem, bytes.NewReader(sys), len(sys)},
 		}
 	} else {
-		p.man.RawLen = len(data)
-		p.man.StreamLen = len(data)
-		sections = []section{{emblem.KindRaw, bytes.NewReader(data), len(data)}}
+		man.RawLen = len(data)
+		man.StreamLen = len(data)
+		sections = []archiveSection{{emblem.KindRaw, bytes.NewReader(data), len(data)}}
 	}
-	for _, sec := range sections {
-		if err := p.section(sec.kind, sec.r, sec.total, emit); err != nil {
-			return Manifest{}, nil, err
-		}
+	p, err := newPlanner(opts, capacity, man, sections)
+	if err != nil {
+		return Manifest{}, nil, err
 	}
-	p.man.Groups = p.groupID
-	p.man.TotalFrames = p.frameIdx
+	if err := p.plan(sections, emit); err != nil {
+		return Manifest{}, nil, err
+	}
 	return p.man, plans, nil
 }
 
@@ -659,10 +651,14 @@ func TestPlannerRejectsHeaderLimit(t *testing.T) {
 	prof := tinyProfile()
 	capacity := mocoder.Capacity(prof.Layout)
 	opts := DefaultOptions(prof)
-	p := &planner{opts: opts, capacity: capacity}
-	p.frameIdx = 65530 // 6 frames of headroom; the next 1+3 group fits, 17+3 does not
-	err := p.section(emblem.KindRaw, bytes.NewReader(make([]byte, 17*capacity)), 17*capacity,
-		func(groupPlan) error { return nil })
+	// 3276 full 17+3 groups and one 13+3 group fill exactly 65536 frames;
+	// one more chunk would wrap.
+	fits := (3276*17 + 13) * capacity
+	raw := func(n int) []archiveSection { return []archiveSection{{kind: emblem.KindRaw, total: n}} }
+	if _, err := newPlanner(opts, capacity, Manifest{}, raw(fits)); err != nil {
+		t.Fatalf("planner refused a 65536-frame archive: %v", err)
+	}
+	_, err := newPlanner(opts, capacity, Manifest{}, raw(fits+1))
 	if err == nil || !strings.Contains(err.Error(), "65536") {
 		t.Fatalf("planner accepted a wrapping frame index: %v", err)
 	}

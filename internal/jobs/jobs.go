@@ -1,17 +1,18 @@
 // Package jobs runs many concurrent archive/restore/salvage/range-query
 // jobs against one shared bounded worker pool. It is the long-running
-// service layer the one-shot core facade lacks: a Manager owns K workers
-// (each with its own reusable core.Engine, since engines are not safe
-// for concurrent use), a bounded admission queue that sheds load instead
-// of buffering without limit, per-job deadlines and cancellation,
+// service layer the one-shot core facade lacks: a Manager owns K workers,
+// a bounded admission queue that sheds load instead of buffering without
+// limit, per-job deadlines and cancellation,
 // retry-with-backoff for transient I/O faults, panic isolation so one
 // poisoned job cannot take the process down, and an append-only JSONL
 // journal that survives a crash and replays on restart.
 //
 // Concurrency is bounded in exactly one place: each worker runs its job
-// with core workers forced to 1, so total pipeline parallelism equals
-// the manager's pool size no matter how many jobs are in flight — there
-// are no per-call worker pools stacking multiplicatively.
+// with the core's Workers option forced to 1, so total pipeline
+// parallelism equals the manager's pool size no matter how many jobs are
+// in flight — there are no per-call worker pools stacking
+// multiplicatively. The core keeps its per-worker scan scratch in a pool,
+// so a worker's jobs reuse it without the manager holding any.
 package jobs
 
 import (
@@ -84,8 +85,10 @@ var (
 // fresh end per attempt: Source reopens the archive input stream, Sink
 // reopens the restore output. Factories receive the job's context —
 // cancelled on Cancel, deadline expiry or forced drain — and should
-// abort rather than block past it. A nil Sink captures output in memory
-// and returns it in Result.Data.
+// abort rather than block past it. Whatever a factory returns is closed
+// at the end of its attempt when it is an io.Closer, and a sink with a
+// Sync method is synced before its job is reported succeeded. A nil Sink
+// captures output in memory and returns it in Result.Data.
 type Request struct {
 	Kind Kind
 
@@ -465,18 +468,15 @@ func (m *Manager) journalEvent(ev event, sync bool) {
 	m.journal.write(ev, sync)
 }
 
-// worker owns one core.Engine and runs queued jobs serially until the
-// queue closes. Engine parallelism is pinned to 1 so the manager's pool
-// size is the only concurrency knob.
+// worker runs queued jobs serially until the queue closes.
 func (m *Manager) worker() {
 	defer m.workers.Done()
-	eng := core.NewEngine(1)
 	for j := range m.queue {
-		m.runJob(eng, j)
+		m.runJob(j)
 	}
 }
 
-func (m *Manager) runJob(eng *core.Engine, j *job) {
+func (m *Manager) runJob(j *job) {
 	defer j.cancel() // release the deadline timer whatever happens
 
 	if err := j.ctx.Err(); err != nil {
@@ -505,7 +505,7 @@ func (m *Manager) runJob(eng *core.Engine, j *job) {
 		j.state = StateRunning
 		j.mu.Unlock()
 
-		res, err = m.attempt(eng, j)
+		res, err = m.attempt(j)
 		if err == nil || j.ctx.Err() != nil ||
 			errors.Is(err, ErrPanicked) || !IsTransient(err) || attempt > maxRetries {
 			break
@@ -547,7 +547,7 @@ func (m *Manager) backoff(ctx context.Context, attempt int) bool {
 // attempt runs one try of the job's operation, isolating panics: a
 // panicking job returns ErrPanicked with the stack captured instead of
 // unwinding into the worker loop.
-func (m *Manager) attempt(eng *core.Engine, j *job) (res Result, err error) {
+func (m *Manager) attempt(j *job) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			j.mu.Lock()
@@ -559,23 +559,52 @@ func (m *Manager) attempt(eng *core.Engine, j *job) (res Result, err error) {
 	}()
 
 	// Each attempt writes into a fresh sink so a failed attempt's
-	// partial output never leaks into the final result.
+	// partial output never leaks into the final result. The sink is
+	// closed when the attempt ends, whatever its outcome, and a sink that
+	// fails to close fails the attempt.
 	j.bytesOut.Store(0)
-	var buf *bytes.Buffer
-	var sink io.Writer
-	needsSink := j.req.Kind == KindRestore || j.req.Kind == KindSalvage
-	if needsSink {
-		if j.req.Sink != nil {
-			sink, err = j.req.Sink(j.ctx)
-			if err != nil {
-				return Result{}, fmt.Errorf("jobs: opening sink: %w", err)
-			}
-		} else {
-			buf = &bytes.Buffer{}
-			sink = buf
+	var out io.Writer
+	if j.req.Sink != nil && (j.req.Kind == KindRestore || j.req.Kind == KindSalvage) {
+		if out, err = j.req.Sink(j.ctx); err != nil {
+			return Result{}, fmt.Errorf("jobs: opening sink: %w", err)
 		}
-		sink = &countingWriter{w: sink, n: &j.bytesOut}
+		defer func() {
+			if cerr := closeIfCloser(out); cerr != nil && err == nil {
+				res, err = Result{}, fmt.Errorf("jobs: closing sink: %w", cerr)
+			}
+		}()
 	}
+	if res, err = run(j, out); err != nil {
+		return Result{}, err
+	}
+	// Terminal means visible: a succeeded job's output is durable before
+	// the job reports success.
+	if s, ok := out.(interface{ Sync() error }); ok {
+		if err := s.Sync(); err != nil {
+			return Result{}, fmt.Errorf("jobs: syncing sink: %w", err)
+		}
+	}
+	return res, nil
+}
+
+// run performs the job's operation once, writing restore and salvage
+// output to out (nil: an in-memory buffer returned in Result.Data). Every
+// operation runs with core parallelism 1.
+func run(j *job, out io.Writer) (Result, error) {
+	var buf *bytes.Buffer
+	if out == nil {
+		buf = &bytes.Buffer{}
+		out = buf
+	}
+	sink := &countingWriter{w: out, n: &j.bytesOut}
+	data := func() []byte {
+		if buf == nil {
+			return nil
+		}
+		return buf.Bytes()
+	}
+	ro := j.req.RestoreOptions
+	ro.Workers, ro.Context = 1, j.ctx
 
 	switch j.req.Kind {
 	case KindArchive:
@@ -583,9 +612,9 @@ func (m *Manager) attempt(eng *core.Engine, j *job) (res Result, err error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("jobs: opening source: %w", err)
 		}
+		defer closeIfCloser(r)
 		opts := j.req.ArchiveOptions
-		opts.Workers = 1
-		opts.Context = j.ctx
+		opts.Workers, opts.Context = 1, j.ctx
 		arch, err := core.CreateArchiveStream(r, opts)
 		if err != nil {
 			return Result{}, err
@@ -593,42 +622,30 @@ func (m *Manager) attempt(eng *core.Engine, j *job) (res Result, err error) {
 		return Result{Archived: arch}, nil
 
 	case KindRestore:
-		ro := j.req.RestoreOptions
-		ro.Context = j.ctx
-		st, err := eng.RestoreToWriter(sink, j.req.Volume, j.req.BootstrapText, ro)
+		st, err := core.RestoreToWriter(sink, j.req.Volume, j.req.BootstrapText, ro)
 		if err != nil {
 			return Result{}, err
 		}
-		res = Result{Stats: st}
-		if buf != nil {
-			res.Data = buf.Bytes()
-		}
-		return res, nil
+		return Result{Stats: st, Data: data()}, nil
 
 	case KindRange:
-		ro := j.req.RestoreOptions
-		ro.Context = j.ctx
-		data, st, err := eng.RestoreRange(j.req.Volume, j.req.BootstrapText, j.req.Off, j.req.Length, ro)
+		got, st, err := core.RestoreRange(j.req.Volume, j.req.BootstrapText, j.req.Off, j.req.Length, ro)
 		if err != nil {
 			return Result{}, err
 		}
-		j.bytesOut.Store(int64(len(data)))
-		return Result{Data: data, Stats: st}, nil
+		j.bytesOut.Store(int64(len(got)))
+		return Result{Data: got, Stats: st}, nil
 
 	case KindTable:
-		ro := j.req.RestoreOptions
-		ro.Context = j.ctx
-		data, st, err := eng.RestoreTable(j.req.Volume, j.req.BootstrapText, j.req.Table, ro)
+		got, st, err := core.RestoreTable(j.req.Volume, j.req.BootstrapText, j.req.Table, ro)
 		if err != nil {
 			return Result{}, err
 		}
-		j.bytesOut.Store(int64(len(data)))
-		return Result{Data: data, Stats: st}, nil
+		j.bytesOut.Store(int64(len(got)))
+		return Result{Data: got, Stats: st}, nil
 
 	case KindListIndex:
-		ro := j.req.RestoreOptions
-		ro.Context = j.ctx
-		x, st, err := eng.ListIndex(j.req.Volume, j.req.BootstrapText, ro)
+		x, st, err := core.ListIndex(j.req.Volume, j.req.BootstrapText, ro)
 		if err != nil {
 			return Result{}, err
 		}
@@ -636,18 +653,22 @@ func (m *Manager) attempt(eng *core.Engine, j *job) (res Result, err error) {
 
 	case KindSalvage:
 		so := j.req.SalvageOptions
-		so.Context = j.ctx
-		rep, err := eng.SalvageTo(sink, j.req.Sheets, so)
+		so.Workers, so.Context = 1, j.ctx
+		rep, err := core.SalvageTo(sink, j.req.Sheets, so)
 		if err != nil {
 			return Result{}, err
 		}
-		res = Result{Report: rep}
-		if buf != nil {
-			res.Data = buf.Bytes()
-		}
-		return res, nil
+		return Result{Report: rep, Data: data()}, nil
 	}
 	return Result{}, fmt.Errorf("%w: unknown kind %q", ErrBadRequest, j.req.Kind)
+}
+
+// closeIfCloser closes what a factory returned when it can be closed.
+func closeIfCloser(v any) error {
+	if c, ok := v.(io.Closer); ok {
+		return c.Close()
+	}
+	return nil
 }
 
 // finish moves a job to its terminal state and journals it durably.

@@ -135,6 +135,25 @@ func Tiny() Profile {
 	}
 }
 
+// ProfileNames lists the short names ProfileByName accepts.
+const ProfileNames = "paper, microfilm, cinema, tiny"
+
+// ProfileByName returns the profile a command line names: paper,
+// microfilm, cinema or tiny.
+func ProfileByName(name string) (Profile, error) {
+	switch name {
+	case "paper":
+		return Paper(), nil
+	case "microfilm":
+		return Microfilm(), nil
+	case "cinema":
+		return CinemaFilm(), nil
+	case "tiny":
+		return Tiny(), nil
+	}
+	return Profile{}, fmt.Errorf("unknown profile %q (want one of %s)", name, ProfileNames)
+}
+
 // Medium is a simulated physical artifact: a stack of written frames that
 // can be damaged, destroyed and scanned back.
 type Medium struct {

@@ -7,6 +7,7 @@ import (
 
 	"microlonys"
 	"microlonys/internal/emblem"
+	"microlonys/internal/mocoder"
 	"microlonys/media"
 )
 
@@ -118,8 +119,8 @@ func TestFacadeModesAreDistinct(t *testing.T) {
 
 func TestFacadeDefaultOptions(t *testing.T) {
 	opts := microlonys.DefaultOptions(media.Paper())
-	if opts.GroupData != 17 || opts.GroupParity != 3 {
-		t.Fatalf("default outer code %d+%d, want the paper's 17+3", opts.GroupData, opts.GroupParity)
+	if opts.GroupData != 17 || mocoder.GroupParity != 3 {
+		t.Fatalf("default outer code %d+%d, want the paper's 17+3", opts.GroupData, mocoder.GroupParity)
 	}
 	if !opts.Compress {
 		t.Fatal("DBCoder should be on by default")
