@@ -11,11 +11,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"microlonys/internal/archindex"
 	"microlonys/internal/core"
@@ -126,6 +129,11 @@ func TestSubmitErrors(t *testing.T) {
 		{"/v1/table", map[string]any{"name": "db"}, http.StatusBadRequest},
 		{"/v1/listindex", map[string]any{}, http.StatusBadRequest},
 		{"/v1/salvage", map[string]any{}, http.StatusBadRequest},
+		// Out-of-range fields are refused before the name lookup.
+		{"/v1/restore", map[string]any{"name": "ghost", "timeout_ms": -1}, http.StatusBadRequest},
+		{"/v1/table", map[string]any{"name": "ghost", "table": "nation", "timeout_ms": math.MaxInt64/int64(time.Millisecond) + 1}, http.StatusBadRequest},
+		{"/v1/archive", map[string]any{"name": "db", "input": "x.sql", "timeout_ms": 18446744073710}, http.StatusBadRequest},
+		{"/v1/range", map[string]any{"name": "ghost", "off": -1, "length": 10}, http.StatusBadRequest},
 
 		{"/v1/restore", map[string]any{"name": "ghost"}, http.StatusNotFound},
 		{"/v1/range", map[string]any{"name": "ghost", "length": 10}, http.StatusNotFound},
@@ -161,4 +169,79 @@ func TestSourceCloses(t *testing.T) {
 	if err := c.Close(); err == nil {
 		t.Fatal("Close did not reach the file")
 	}
+}
+
+// FuzzSubmitBody drives the submission step short of Submit — decode the
+// body, validate it, build the request — over fuzzed bodies for every
+// endpoint. It never panics, and it answers 400 or 404 or yields a
+// request whose Timeout is exactly timeout_ms milliseconds, never
+// negative, and whose range (for /v1/range) starts at off ≥ 0 with a
+// positive length. No job is submitted, so a fuzzed archive input is
+// never opened.
+func FuzzSubmitBody(f *testing.F) {
+	for _, seed := range []struct {
+		kind uint8
+		body string
+	}{
+		{0, `{"name":"db","input":"dump.sql","indexed":true,"timeout_ms":5000}`},
+		{1, `{"name":"db","output":"out.sql"}`},
+		{2, `{"name":"db","off":10,"length":64,"timeout_ms":250}`},
+		{2, `{"name":"db","off":-1,"length":64}`},
+		{3, `{"name":"db","table":"orders","timeout_ms":-1}`},
+		{4, `{"name":"db","timeout_ms":18446744073710}`},
+		{5, `{"name":"db","timeout_ms":9223372036854}`},
+		{1, `{"name":"ghost"}`},
+		{2, `{"name":"db","off":1e30}`},
+		{0, `not json`},
+	} {
+		f.Add(seed.kind, seed.body)
+	}
+
+	mgr, err := jobs.New(jobs.Config{Workers: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { mgr.Drain(context.Background()) })
+	s := &server{mgr: mgr, opts: core.DefaultOptions(media.Tiny()), names: make(map[string][]int64)}
+	source := func(context.Context) (io.Reader, error) {
+		return strings.NewReader("COPY t (a) FROM stdin;\n1\n\\.\n"), nil
+	}
+	id, err := mgr.Submit(jobs.Request{Kind: jobs.KindArchive, ArchiveOptions: s.opts, Source: source})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, snap, err := mgr.Wait(context.Background(), id); err != nil {
+		f.Fatalf("archive job: %s (%v)", snap.State, err)
+	}
+	s.names["db"] = []int64{id}
+	if _, ok := s.lookup(httptest.NewRecorder(), "db"); !ok {
+		f.Fatal("archive db does not resolve")
+	}
+
+	kinds := []jobs.Kind{jobs.KindArchive, jobs.KindRestore, jobs.KindRange, jobs.KindTable, jobs.KindListIndex, jobs.KindSalvage}
+	f.Fuzz(func(t *testing.T, k uint8, body string) {
+		kind := kinds[int(k)%len(kinds)]
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/"+string(kind), strings.NewReader(body))
+		var b submitBody
+		if !decodeBody(w, r, &b) {
+			if w.Code != http.StatusBadRequest {
+				t.Fatalf("undecodable body answered %d", w.Code)
+			}
+			return
+		}
+		req, ok := s.request(w, kind, b)
+		if !ok {
+			if w.Code != http.StatusBadRequest && w.Code != http.StatusNotFound {
+				t.Fatalf("refused body answered %d", w.Code)
+			}
+			return
+		}
+		if req.Timeout < 0 || req.Timeout%time.Millisecond != 0 || int64(req.Timeout/time.Millisecond) != b.TimeoutMS {
+			t.Fatalf("timeout_ms %d built Timeout %v", b.TimeoutMS, req.Timeout)
+		}
+		if kind == jobs.KindRange && (req.Off < 0 || req.Length <= 0) {
+			t.Fatalf("range built off %d length %d", req.Off, req.Length)
+		}
+	})
 }

@@ -45,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -212,10 +213,10 @@ func decodeBody(w http.ResponseWriter, r *http.Request, b *submitBody) bool {
 }
 
 // handleSubmit serves one submission endpoint, the same path for every
-// kind: decode the body, build the kind's request (400 for a missing
-// field, 404 for an unknown archive name), submit it, and answer 202 with
-// the job id — after recording an archive job under its name, so the
-// name resolves the moment the job is reported succeeded.
+// kind: decode the body, build the kind's request (400 for a missing or
+// out-of-range field, 404 for an unknown archive name), submit it, and
+// answer 202 with the job id — after recording an archive job under its
+// name, so the name resolves the moment the job is reported succeeded.
 func (s *server) handleSubmit(kind jobs.Kind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var b submitBody
@@ -226,7 +227,6 @@ func (s *server) handleSubmit(kind jobs.Kind) http.HandlerFunc {
 		if !ok {
 			return
 		}
-		req.Timeout = time.Duration(b.TimeoutMS) * time.Millisecond
 		id, ok := s.submit(w, req)
 		if !ok {
 			return
@@ -242,10 +242,19 @@ func (s *server) handleSubmit(kind jobs.Kind) http.HandlerFunc {
 }
 
 // request builds the job a submission asks for. Archive jobs read their
-// input file; every other kind runs on the named archive.
+// input file; every other kind runs on the named archive. Fields are
+// checked before the name is looked up: a negative timeout_ms would mean
+// no deadline and one past the largest Duration would wrap around, and a
+// negative range off would only fail inside the job.
 func (s *server) request(w http.ResponseWriter, kind jobs.Kind, b submitBody) (jobs.Request, bool) {
 	req := jobs.Request{Kind: kind}
 	switch {
+	case b.TimeoutMS < 0 || b.TimeoutMS > math.MaxInt64/int64(time.Millisecond):
+		http.Error(w, "timeout_ms out of range", http.StatusBadRequest)
+		return req, false
+	case kind == jobs.KindRange && b.Off < 0:
+		http.Error(w, "off must not be negative", http.StatusBadRequest)
+		return req, false
 	case kind == jobs.KindArchive && b.Input == "":
 		http.Error(w, "missing input path", http.StatusBadRequest)
 		return req, false
@@ -256,6 +265,7 @@ func (s *server) request(w http.ResponseWriter, kind jobs.Kind, b submitBody) (j
 		http.Error(w, "missing table name", http.StatusBadRequest)
 		return req, false
 	}
+	req.Timeout = time.Duration(b.TimeoutMS) * time.Millisecond
 	if kind == jobs.KindArchive {
 		req.ArchiveOptions = s.opts
 		if b.Indexed {

@@ -302,7 +302,7 @@ func salvageAct() {
 	if err := bag[0].Destroy(3); err != nil {
 		log.Fatal(err)
 	}
-	bag = append(bag, bag[1].Clone())              // a photocopied duplicate
+	bag = append(bag, bag[1].Clone())                 // a photocopied duplicate
 	bag[0], bag[len(bag)-1] = bag[len(bag)-1], bag[0] // out of order
 	bag[1], bag[2] = bag[2], bag[1]
 	fmt.Printf("received: a bag of %d sheets, shuffled, no Bootstrap text\n", len(bag))

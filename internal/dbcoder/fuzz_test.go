@@ -27,9 +27,9 @@ func FuzzDecompress(f *testing.F) {
 	f.Add([]byte("DBC1"))
 	f.Add([]byte("DBC0\x01\x00\x00\x00\x00\x00\x00\x00"))
 	f.Add(valid)
-	f.Add(valid[:HeaderSize])           // header only, empty token stream
-	f.Add(valid[:HeaderSize+3])         // range coder header cut short
-	f.Add(valid[:len(valid)/2])         // truncated mid-stream
+	f.Add(valid[:HeaderSize])                      // header only, empty token stream
+	f.Add(valid[:HeaderSize+3])                    // range coder header cut short
+	f.Add(valid[:len(valid)/2])                    // truncated mid-stream
 	f.Add(append([]byte{}, valid[HeaderSize:]...)) // stream without header
 
 	// Header lies: huge declared length over a tiny valid stream.

@@ -114,11 +114,11 @@ func TestSubmitValidation(t *testing.T) {
 	m := newManager(t, Config{Workers: 1})
 	defer drain(t, m)
 	for _, req := range []Request{
-		{Kind: KindArchive},               // no source
-		{Kind: KindRestore},               // no volume
-		{Kind: KindTable, Table: ""},      // no volume, no table
-		{Kind: KindSalvage},               // no sheets
-		{Kind: Kind("transmogrify")},      // unknown kind
+		{Kind: KindArchive},          // no source
+		{Kind: KindRestore},          // no volume
+		{Kind: KindTable, Table: ""}, // no volume, no table
+		{Kind: KindSalvage},          // no sheets
+		{Kind: Kind("transmogrify")}, // unknown kind
 	} {
 		if _, err := m.Submit(req); !errors.Is(err, ErrBadRequest) {
 			t.Fatalf("Submit(%+v): got %v, want ErrBadRequest", req.Kind, err)

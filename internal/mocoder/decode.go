@@ -59,8 +59,7 @@ type moduleSampler struct {
 	img        *raster.Gray
 	m          bilinearMapper
 	bm, gw, gh float64
-	uTab, vTab []float64 // [tap*DataW+mx], [tap*DataH+my]
-	dw, dh     int
+	uTab, vTab []float64 // [mx*5+tap], [my*5+tap]: a module's five taps side by side
 }
 
 func newModuleSampler(img *raster.Gray, m bilinearMapper, s *DecodeScratch, l emblem.Layout) moduleSampler {
@@ -73,10 +72,18 @@ func newModuleSampler(img *raster.Gray, m bilinearMapper, s *DecodeScratch, l em
 		gh:   float64(l.GridH()),
 		uTab: s.uTab,
 		vTab: s.vTab,
-		dw:   l.DataW,
-		dh:   l.DataH,
 	}
 }
+
+// pixFloat[b] is float64(b): the sampling loops load a pixel's level
+// from this table instead of converting the byte, the same value with
+// fewer instructions.
+var pixFloat = func() (t [256]float64) {
+	for b := range t {
+		t[b] = float64(b)
+	}
+	return t
+}()
 
 // moduleOffsets are the five supersampling taps that ride out noise and
 // sub-pixel grid error.
@@ -91,27 +98,33 @@ var moduleOffsets = [5][2]float64{{0, 0}, {-0.22, -0.22}, {0.22, -0.22}, {-0.22,
 // order, so the result is bit-identical (TestDecodeWithDifferential pins
 // this against the closure/SampleBilinear reference) — because this loop
 // runs five times per module across every data module of every frame.
+//
+// The interior test needs no math.Floor: for sx ≥ 0, int(sx) truncates
+// to floor(sx), and floor(sx)+1 < W exactly when sx < W−1, so the
+// branch and its pixel indices are SampleBilinear's; negative, NaN and
+// far-out coordinates take the fallback as before.
 func (sm *moduleSampler) sampleOff(mx, my int, off float64) float64 {
 	img := sm.img
-	w, h := img.W, img.H
+	w := img.W
 	pix := img.Pix
+	fw, fh := float64(w-1), float64(img.H-1)
+	us := sm.uTab[mx*len(moduleOffsets):][:len(moduleOffsets)]
+	vs := sm.vTab[my*len(moduleOffsets):][:len(moduleOffsets)]
 	var sum float64
 	for k := range moduleOffsets {
-		u := sm.uTab[k*sm.dw+mx]
-		v := sm.vTab[k*sm.dh+my]
+		u, v := us[k], vs[k]
 		sx := (1-u)*(1-v)*sm.m.p00.x + u*(1-v)*sm.m.p10.x + (1-u)*v*sm.m.p01.x + u*v*sm.m.p11.x
 		sy := (1-u)*(1-v)*sm.m.p00.y + u*(1-v)*sm.m.p10.y + (1-u)*v*sm.m.p01.y + u*v*sm.m.p11.y
 		sx += off
-		x0 := int(math.Floor(sx))
-		y0 := int(math.Floor(sy))
-		if x0 >= 0 && y0 >= 0 && x0+1 < w && y0+1 < h {
+		if sx >= 0 && sy >= 0 && sx < fw && sy < fh {
+			x0, y0 := int(sx), int(sy)
 			fx := sx - float64(x0)
 			fy := sy - float64(y0)
 			i := y0*w + x0
-			p00 := float64(pix[i])
-			p10 := float64(pix[i+1])
-			p01 := float64(pix[i+w])
-			p11 := float64(pix[i+w+1])
+			p00 := pixFloat[pix[i]]
+			p10 := pixFloat[pix[i+1]]
+			p01 := pixFloat[pix[i+w]]
+			p11 := pixFloat[pix[i+w+1]]
 			sum += p00*(1-fx)*(1-fy) + p10*fx*(1-fy) + p01*(1-fx)*fy + p11*fx*fy
 		} else {
 			sum += img.SampleBilinear(sx, sy)
@@ -128,18 +141,24 @@ func (sm *moduleSampler) sample(mx, my int) float64 { return sm.sampleOff(mx, my
 // the same serpentine row.
 type clockPair struct{ a, b emblem.Point }
 
-// mappedClockPair is a clock boundary's two module centres mapped into
-// image space — the offset search shifts these horizontally, so the
-// mapping is hoisted out of the per-offset contrast loop.
-type mappedClockPair struct{ ax, ay, bx, by float64 }
+// clockTap is one clock-boundary module centre mapped into image space,
+// with the vertical half of its bilinear sample hoisted: the phase search
+// only shifts a tap horizontally, so floor(y)·W, fy and 1−fy (and the
+// vertical interior test) are fixed per row.
+type clockTap struct {
+	x, y   float64
+	fy, gy float64 // y − floor(y) and 1 − fy
+	row    int     // floor(y)·W, or −1 when the 2×2 neighbourhood leaves the image vertically
+}
 
 // DecodeScratch carries the decoder's reusable per-frame state: the
 // demodulation buffers (half-module levels, stream bytes, suspicion
-// flags, per-row clock offsets), the deinterleave codeword storage, the
-// inner-code decode scratch, the frame-detection point buffers, and —
-// cached per layout, since they are pure geometry — the serpentine data
-// path and the per-row clock-boundary pairs (the path alone is megabytes
-// per frame at paper scale). A zero DecodeScratch is ready to use; it
+// flags, per-row clock offsets, the clock search's taps, probes and
+// scores), the deinterleave codeword storage, the inner-code decode
+// scratch, the frame-detection point buffers, and — cached per layout,
+// since they are pure geometry — the serpentine data path and the
+// per-row clock-boundary pairs (the path alone is megabytes per frame at
+// paper scale). A zero DecodeScratch is ready to use; it
 // must not be shared between concurrent decodes. In steady state (same
 // layout frame after frame — the restore scan stage) a DecodeWith
 // allocates only the returned payload and Stats.
@@ -159,7 +178,9 @@ type DecodeScratch struct {
 	stream   []byte
 	suspect  []bool
 	offs     []float64
-	clockQ   []mappedClockPair
+	taps     []clockTap
+	probes   []float64
+	scores   []float64
 	cw       []byte   // deinterleaved codewords, back to back
 	blocks   [][]byte // slice views into cw
 	erasures [][]int
@@ -193,9 +214,10 @@ func (s *DecodeScratch) ensureLayout(l emblem.Layout) {
 }
 
 // ensureSampleTabs refreshes the per-tap u/v coordinate tables: entry
-// [k*DataW+mx] (resp. [k*DataH+my]) holds exactly the grid coordinate
-// sampleOff computed inline before — (bm + m + 0.5 + tap)/gridSpan — so
-// the demodulation loop replaces its per-sample divisions with loads.
+// [mx*5+k] (resp. [my*5+k]) holds exactly the grid coordinate sampleOff
+// computed inline before — (bm + m + 0.5 + tap)/gridSpan — so the
+// demodulation loop replaces its per-sample divisions with loads, and a
+// module's five taps sit side by side behind one bounds check.
 func (s *DecodeScratch) ensureSampleTabs(l emblem.Layout) {
 	if s.uTab != nil && s.tabLayout == l {
 		return
@@ -213,10 +235,10 @@ func (s *DecodeScratch) ensureSampleTabs(l emblem.Layout) {
 	s.vTab = s.vTab[:len(moduleOffsets)*l.DataH]
 	for k, o := range moduleOffsets {
 		for mx := 0; mx < l.DataW; mx++ {
-			s.uTab[k*l.DataW+mx] = (bm + float64(mx) + 0.5 + o[0]) / gw
+			s.uTab[mx*len(moduleOffsets)+k] = (bm + float64(mx) + 0.5 + o[0]) / gw
 		}
 		for my := 0; my < l.DataH; my++ {
-			s.vTab[k*l.DataH+my] = (bm + float64(my) + 0.5 + o[1]) / gh
+			s.vTab[my*len(moduleOffsets)+k] = (bm + float64(my) + 0.5 + o[1]) / gh
 		}
 	}
 }
@@ -364,59 +386,22 @@ func clockOffsets(s *DecodeScratch, sm *moduleSampler, l emblem.Layout) []float6
 	}
 	maxStep := 0.45 * pxPerModule // per-row drift bound (half a module)
 
-	// mapPoint is sampleAt's position arithmetic without the sample: the
-	// module centre mapped into image space, identical to mapUV on
-	// ((bm + p + 0.5)/grid) — the offset search only shifts the result
-	// horizontally, so each strided boundary is mapped once per row
-	// instead of once per contrast probe.
-	mapPoint := func(p emblem.Point) point {
+	// tap maps a boundary module centre into image space — identical to
+	// mapUV on ((bm + p + 0.5)/grid) — once per row rather than once per
+	// probe, and hoists the vertical half of its bilinear sample.
+	img := sm.img
+	w, fh := img.W, float64(img.H-1)
+	tap := func(p emblem.Point) clockTap {
 		u := (sm.bm + float64(p.X) + 0.5) / sm.gw
 		v := (sm.bm + float64(p.Y) + 0.5) / sm.gh
-		return sm.m.mapUV(u, v)
-	}
-	img := sm.img
-	w, h := img.W, img.H
-	pix := img.Pix
-	// The contrast probe inlines raster.SampleBilinear's exact interior
-	// expression (same loads, same order — bit-identical; border samples
-	// fall back): it runs for every boundary at every probed offset.
-	contrast := func(q []mappedClockPair, off float64) float64 {
-		var s float64
-		for _, pr := range q {
-			var va, vb float64
-			sx, sy := pr.ax+off, pr.ay
-			x0 := int(math.Floor(sx))
-			y0 := int(math.Floor(sy))
-			if x0 >= 0 && y0 >= 0 && x0+1 < w && y0+1 < h {
-				fx := sx - float64(x0)
-				fy := sy - float64(y0)
-				i := y0*w + x0
-				p00 := float64(pix[i])
-				p10 := float64(pix[i+1])
-				p01 := float64(pix[i+w])
-				p11 := float64(pix[i+w+1])
-				va = p00*(1-fx)*(1-fy) + p10*fx*(1-fy) + p01*(1-fx)*fy + p11*fx*fy
-			} else {
-				va = img.SampleBilinear(sx, sy)
-			}
-			sx, sy = pr.bx+off, pr.by
-			x0 = int(math.Floor(sx))
-			y0 = int(math.Floor(sy))
-			if x0 >= 0 && y0 >= 0 && x0+1 < w && y0+1 < h {
-				fx := sx - float64(x0)
-				fy := sy - float64(y0)
-				i := y0*w + x0
-				p00 := float64(pix[i])
-				p10 := float64(pix[i+1])
-				p01 := float64(pix[i+w])
-				p11 := float64(pix[i+w+1])
-				vb = p00*(1-fx)*(1-fy) + p10*fx*(1-fy) + p01*(1-fx)*fy + p11*fx*fy
-			} else {
-				vb = img.SampleBilinear(sx, sy)
-			}
-			s += math.Abs(va - vb)
+		q := sm.m.mapUV(u, v)
+		t := clockTap{x: q.x, y: q.y, row: -1}
+		if q.y >= 0 && q.y < fh {
+			y0 := int(q.y)
+			t.fy = q.y - float64(y0)
+			t.gy, t.row = 1-t.fy, y0*w
 		}
-		return s
+		return t
 	}
 
 	if cap(s.offs) < l.DataH {
@@ -433,30 +418,73 @@ func clockOffsets(s *DecodeScratch, sm *moduleSampler, l emblem.Layout) []float6
 		// A few dozen boundaries fix the phase; subsample wide rows so the
 		// tracking cost stays proportional to row count, not area.
 		stride := 1 + len(pairs)/48
-		q := s.clockQ[:0]
+		taps := s.taps[:0]
 		for i := 0; i < len(pairs); i += stride {
-			pr := pairs[i]
-			a, b := mapPoint(pr.a), mapPoint(pr.b)
-			q = append(q, mappedClockPair{a.x, a.y, b.x, b.y})
+			taps = append(taps, tap(pairs[i].a), tap(pairs[i].b))
 		}
-		s.clockQ = q
-		// Coarse search around the previous row's phase, then refine.
-		best, bestScore := prev, contrast(q, prev)
+		s.taps = taps
+		// Coarse search around the previous row's phase — the initial
+		// probe and the whole window scored in one pass — then refine.
 		step := maxStep / 3
+		probes := append(s.probes[:0], prev)
 		for d := -maxStep; d <= maxStep; d += step {
-			if s := contrast(q, prev+d); s > bestScore {
-				best, bestScore = prev+d, s
+			probes = append(probes, prev+d)
+		}
+		s.probes = probes
+		if cap(s.scores) < len(probes) {
+			s.scores = make([]float64, len(probes))
+		}
+		scores := s.scores[:len(probes)]
+		contrast(img, taps, probes, scores)
+		best, bestScore := prev, scores[0]
+		for j := 1; j < len(probes); j++ {
+			if scores[j] > bestScore {
+				best, bestScore = probes[j], scores[j]
 			}
 		}
 		for _, d := range []float64{-step / 2, -step / 4, step / 4, step / 2} {
-			if s := contrast(q, best+d); s > bestScore {
-				best, bestScore = best+d, s
+			probes[0] = best + d
+			contrast(img, taps, probes[:1], scores[:1])
+			if scores[0] > bestScore {
+				best, bestScore = probes[0], scores[0]
 			}
 		}
 		offs[y] = best
 		prev = best
 	}
 	return offs
+}
+
+// contrast sets scores[j] to the summed contrast across the boundary tap
+// pairs shifted horizontally by probes[j]. One pass over the taps serves
+// every probe, and each score is summed in boundary order, so it is
+// bit-identical to scoring that probe alone. The interior sample is
+// raster.SampleBilinear's expression (same loads, same order) with the
+// vertical half taken from the tap and sampleOff's floor-free test.
+func contrast(img *raster.Gray, taps []clockTap, probes, scores []float64) {
+	w, pix := img.W, img.Pix
+	fw := float64(w - 1)
+	for j := range scores {
+		scores[j] = 0
+	}
+	for i := 0; i+1 < len(taps); i += 2 {
+		for j, off := range probes {
+			var v [2]float64
+			for k := range v {
+				t := &taps[i+k]
+				sx := t.x + off
+				if t.row >= 0 && sx >= 0 && sx < fw {
+					x0 := int(sx)
+					fx := sx - float64(x0)
+					at := t.row + x0
+					v[k] = pixFloat[pix[at]]*(1-fx)*t.gy + pixFloat[pix[at+1]]*fx*t.gy + pixFloat[pix[at+w]]*(1-fx)*t.fy + pixFloat[pix[at+w+1]]*fx*t.fy
+				} else {
+					v[k] = img.SampleBilinear(sx, t.y)
+				}
+			}
+			scores[j] += math.Abs(v[0] - v[1])
+		}
+	}
 }
 
 // Edge-scan directions for findFrame: which border the scan walks toward.

@@ -615,17 +615,23 @@ func BenchmarkDecodeFrame(b *testing.B) {
 			}
 		}
 	})
-	b.Run("reused", func(b *testing.B) {
-		b.ReportAllocs()
-		var s DecodeScratch
-		if _, _, _, err := DecodeWith(&s, img, l); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
+	reused := func(img *raster.Gray) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var s DecodeScratch
 			if _, _, _, err := DecodeWith(&s, img, l); err != nil {
 				b.Fatal(err)
 			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := DecodeWith(&s, img, l); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	})
+	}
+	b.Run("reused", reused(img))
+	// A scan-like frame — row jitter, noise and a blur, as in the
+	// pre-scanned frames restores decode — unlike the clean render above.
+	b.Run("scanned", reused(jitterImage(img, 86, 0.8, 3).BoxBlur(1)))
 }

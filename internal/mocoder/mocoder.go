@@ -332,7 +332,7 @@ func render(bits []byte, l emblem.Layout, path []emblem.Point) *raster.Gray {
 	// Border ring (between quiet zone and separator).
 	q, b := emblem.QuietModules, emblem.BorderModules
 	fw, fh := l.FullModulesW(), l.FullModulesH()
-	img.FillRect(q*px, q*px, (fw-q)*px, (fh-q)*px, 0)           // outer black rect
+	img.FillRect(q*px, q*px, (fw-q)*px, (fh-q)*px, 0)               // outer black rect
 	img.FillRect((q+b)*px, (q+b)*px, (fw-q-b)*px, (fh-q-b)*px, 255) // punch out interior
 	m := emblem.MarginModules
 
