@@ -1083,14 +1083,6 @@ func BenchmarkP7RestoreScan(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(frames)/1e6, "ms/frame")
 	}
 	b.Run("serial-native/distorted", func(b *testing.B) { serial(b, benchProfile()) })
-	b.Run("serial-native/fastsim", func(b *testing.B) {
-		// The same distortion model through the fast-sim approximations
-		// (nearest warp, stream noise, multiply-shift blur) — the scan
-		// leg's cheap profile for large damage campaigns.
-		prof := benchProfile()
-		prof.Scanner.FastSim = true
-		serial(b, prof)
-	})
 	b.Run("serial-native/clean", func(b *testing.B) {
 		prof := benchProfile()
 		prof.Scanner = media.Distortions{}

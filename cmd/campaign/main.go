@@ -34,7 +34,6 @@ func main() {
 	seed := flag.Int64("seed", 0, "campaign seed; every trial derives from it (default 1)")
 	corpus := flag.Int("corpus", 0, "corpus bytes to archive per profile (default 16384)")
 	workers := flag.Int("workers", 0, "trial-level parallelism (0 = GOMAXPROCS); results identical at any setting")
-	fastsim := flag.Bool("fastsim", false, "scan trials through the fast-sim scanner approximation; curves must stay inside the -diff bands of the reference baseline")
 	out := flag.String("out", "", "write the campaign JSON to this file (- or empty for stdout)")
 	diff := flag.String("diff", "", "compare against this baseline JSON instead of printing; non-zero exit on regression")
 	tol := flag.Float64("tol", 0.15, "diff mode: flat tolerance on recovered fraction (binomial slack added per point)")
@@ -47,7 +46,6 @@ func main() {
 		Seed:        *seed,
 		CorpusBytes: *corpus,
 		Workers:     *workers,
-		FastSim:     *fastsim,
 	}
 
 	t0 := time.Now()
@@ -97,9 +95,6 @@ func command(cfg campaign.Config) string {
 	}
 	if cfg.CorpusBytes > 0 {
 		fmt.Fprintf(&b, " -corpus %d", cfg.CorpusBytes)
-	}
-	if cfg.FastSim {
-		b.WriteString(" -fastsim")
 	}
 	b.WriteString(" -out CAMPAIGN.json")
 	return b.String()

@@ -9,7 +9,7 @@
 //	           [-range OFF:LEN] [-table NAME] [-list-tables]
 //	           [-destroy N] [-destroy-sheet S]
 //	           [-partial] [-salvage] [-shuffle] [-withhold-sheet S]
-//	           [-dup-sheet S] [-workers N] [-fastsim]
+//	           [-dup-sheet S] [-workers N]
 //	           [-frames out/] [-sheets out/]
 //	           [-out file] [-bootstrap bootstrap.txt]
 //
@@ -88,7 +88,6 @@ func main() {
 	bootOut := flag.String("bootstrap", "", "write the Bootstrap document to this file")
 	seed := flag.Int64("seed", 1, "seed for frame destruction")
 	workers := flag.Int("workers", 0, "frame pipeline workers (0 = GOMAXPROCS, 1 = serial)")
-	fastsim := flag.Bool("fastsim", false, "scan through the fast-sim scanner approximation (statistically equivalent, not byte-identical)")
 	flag.Parse()
 
 	if *in == "" {
@@ -100,7 +99,6 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	prof.Scanner.FastSim = *fastsim
 
 	var m microlonys.Mode
 	switch *mode {

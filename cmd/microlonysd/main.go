@@ -4,7 +4,7 @@
 //
 //	microlonysd [-addr :8732] [-workers 4] [-queue 32] [-retries 3]
 //	            [-journal PATH] [-drain 30s] [-profile paper|microfilm|cinema|tiny]
-//	            [-fastsim] [-compress=true]
+//	            [-compress=true]
 //
 // Archives are held in memory keyed by name: an archive job reads a file
 // from disk, and its result is the named volume; restore, range, table,
@@ -97,7 +97,6 @@ func run(args []string, ready chan<- string) error {
 	journal := fs.String("journal", "", "append-only JSONL job journal path (empty: no journal)")
 	drainBudget := fs.Duration("drain", 30*time.Second, "graceful-drain budget on SIGTERM")
 	profile := fs.String("profile", "paper", "media profile: "+media.ProfileNames)
-	fastsim := fs.Bool("fastsim", false, "use the fast scanner approximation")
 	compress := fs.Bool("compress", true, "run DBCoder on archive payloads")
 	chaosFailures := fs.Int("chaos-source-failures", 0, "inject N transient failures into every archive source (testing)")
 	chaosSlow := fs.Duration("chaos-slow-source", 0, "inject per-read latency into every archive source (testing)")
@@ -108,9 +107,6 @@ func run(args []string, ready chan<- string) error {
 	prof, err := media.ProfileByName(*profile)
 	if err != nil {
 		return err
-	}
-	if *fastsim {
-		prof.Scanner.FastSim = true
 	}
 
 	mgr, err := jobs.New(jobs.Config{

@@ -93,7 +93,41 @@ func waitJob(t *testing.T, base string, id int64) jobs.Snapshot {
 	return jobs.Snapshot{}
 }
 
+// openFDs counts the process's open descriptors, or returns -1 where
+// /proc/self/fd does not exist.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// checkNoFDLeak fails the test if the process holds more descriptors than
+// before (a negative before means the count is unavailable). Idle client
+// connections are closed first; a closed socket's descriptor is released
+// once its reader wakes, so the count gets a few seconds to settle.
+func checkNoFDLeak(t *testing.T, before int, when string) {
+	t.Helper()
+	if before < 0 {
+		return
+	}
+	http.DefaultClient.CloseIdleConnections()
+	n := openFDs()
+	for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = openFDs() {
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n > before {
+		t.Fatalf("%s: %d open descriptors, %d before the first boot", when, n, before)
+	}
+}
+
 func TestChaosSmoke(t *testing.T) {
+	// The descriptor baseline: the throwaway listing makes sure Go's
+	// network poller has its descriptors open before the count.
+	openFDs()
+	fdsBefore := openFDs()
+
 	dir := t.TempDir()
 	payload := smokePayload()
 	inputPath := filepath.Join(dir, "payload.sql")
@@ -157,6 +191,17 @@ func TestChaosSmoke(t *testing.T) {
 		t.Fatalf("restore result: %d, %d bytes (want %d identical)", code, len(got), len(payload))
 	}
 
+	// The same restore into an output file: the daemon opens, syncs and
+	// closes the file sink.
+	outputPath := filepath.Join(dir, "restored.sql")
+	fileID := submitJob(t, base+"/v1/restore", map[string]any{"name": "demo", "output": outputPath})
+	if snap := waitJob(t, base, fileID); snap.State != jobs.StateSucceeded {
+		t.Fatalf("file restore job: %s (%s)", snap.State, snap.Err)
+	}
+	if got, err := os.ReadFile(outputPath); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("file restore: %v, %d bytes (want %d identical)", err, len(got), len(payload))
+	}
+
 	// A range query (index-less volume: served via the full-restore
 	// fallback) must return the exact slice.
 	rangeID := submitJob(t, base+"/v1/range", map[string]any{
@@ -204,6 +249,7 @@ func TestChaosSmoke(t *testing.T) {
 	case <-time.After(120 * time.Second):
 		t.Fatal("daemon did not drain and exit after SIGTERM")
 	}
+	checkNoFDLeak(t, fdsBefore, "after the first daemon exited")
 
 	// The journal must replay the whole run: every job terminal, the
 	// burst finished by the drain, none interrupted.
@@ -211,7 +257,7 @@ func TestChaosSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJobs := 3 + len(burst)
+	wantJobs := 4 + len(burst)
 	if len(replayed) != wantJobs {
 		t.Fatalf("journal replays %d jobs, want %d", len(replayed), wantJobs)
 	}
@@ -265,4 +311,5 @@ func TestChaosSmoke(t *testing.T) {
 	case <-time.After(60 * time.Second):
 		t.Fatal("restarted daemon did not exit after SIGTERM")
 	}
+	checkNoFDLeak(t, fdsBefore, "after the restarted daemon exited")
 }

@@ -224,13 +224,15 @@ func Parse(text string) (*Document, error) {
 	if !strings.Contains(text, markHeader) {
 		return nil, errors.New("bootstrap: missing header marker")
 	}
+	// A section ends at the first closing marker after its own marker, so
+	// a closing marker that overlaps the opening one does not count.
 	section := func(from, to string) (string, error) {
-		i := strings.Index(text, from)
-		j := strings.Index(text, to)
-		if i < 0 || j < i {
+		_, rest, ok := strings.Cut(text, from)
+		body, _, closed := strings.Cut(rest, to)
+		if !ok || !closed {
 			return "", fmt.Errorf("bootstrap: cannot locate section %q", from)
 		}
-		return text[i+len(from) : j], nil
+		return body, nil
 	}
 	layoutTxt, err := section(markLayout, markEmulator)
 	if err != nil {

@@ -238,3 +238,25 @@ func TestParseToleratesOCRNoise(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds Parse arbitrary text, as every restore and query entry
+// point hands it the caller's Bootstrap document: Parse, and the program
+// decoders on whatever it accepts, must return errors, never panic. The
+// seeds are a rendered document and one whose geometry marker's trailing
+// "====" also opens the emulator marker. The document embeds tiny
+// programs, so the seed stays a few kilobytes and mutates quickly.
+func FuzzParse(f *testing.F) {
+	doc := New("fuzz", emblem.Layout{DataW: 100, DataH: 80, PxPerModule: 4}, 17, 3,
+		&verisc.Program{Org: 8, Cells: []uint32{0, 20, 1}},
+		&dynarisc.Program{Org: 4, Words: []uint16{0x1234, 0xBEEF}})
+	f.Add(doc.Render())
+	f.Add(markHeader + "\n" + markLayout + markEmulator[4:] + "\n")
+	f.Fuzz(func(t *testing.T, text string) {
+		d, err := Parse(text)
+		if err != nil {
+			return
+		}
+		d.EmulatorProgram()
+		d.MODecodeProgram()
+	})
+}

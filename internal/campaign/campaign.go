@@ -50,13 +50,6 @@ type Config struct {
 	// Workers bounds the trial-level fan-out (0 = GOMAXPROCS). Results
 	// are identical at any setting.
 	Workers int
-	// FastSim scans every visual trial through the fast-sim scanner
-	// approximation (media.Distortions.FastSim). Curves are NOT
-	// bit-identical to the reference model's — the contract is that they
-	// stay inside Diff's tolerance bands of the reference baseline, which
-	// is exactly what `campaign -fastsim -diff CAMPAIGN.json` checks.
-	// DNA profiles have no scanner and ignore it.
-	FastSim bool
 }
 
 // Damage axes.

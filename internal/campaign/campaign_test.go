@@ -191,40 +191,3 @@ func TestMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("self-diff not clean: %+v", rep)
 	}
 }
-
-// TestRunFastSim pins the fast-sim campaign mode: the config flag must
-// reach the visual runner's scanner selector, the run stays
-// deterministic at any worker count, and the calibrated no-damage
-// anchor still recovers fully — the cheap end of the
-// statistical-equivalence contract the full `-fastsim -diff` gate
-// checks. (Aggregate curves may legitimately coincide with the
-// reference model's on small sweeps — the outcomes are coarse — so the
-// flag is asserted on the runner, not on the JSON.)
-func TestRunFastSim(t *testing.T) {
-	fast := smallCfg(1)
-	fast.FastSim = true
-	r, err := newRunner("paper-small", fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vr, ok := r.(*visualRunner); !ok || !vr.fastSim {
-		t.Fatal("FastSim config did not reach the visual runner")
-	}
-	ra, err := Run(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := ra.Curves[0].Points[0]; p.Value != 0 || p.Recovered != 1 {
-		t.Fatalf("fast-sim undamaged anchor = %+v, want full recovery", p)
-	}
-	fast.Workers = 3
-	rb, err := Run(fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ba, _ := ra.Marshal()
-	bb, _ := rb.Marshal()
-	if !bytes.Equal(ba, bb) {
-		t.Fatal("fast-sim campaign JSON differs between worker counts")
-	}
-}

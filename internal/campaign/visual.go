@@ -80,7 +80,6 @@ type visualRunner struct {
 	arch      *core.Archived
 	archCat   *core.Archived // catalog-enabled twin for the salvage axis
 	bootstrap string
-	fastSim   bool // scan trials through the fast-sim approximation
 }
 
 func newVisualRunner(p media.Profile, cfg Config) (*visualRunner, error) {
@@ -107,7 +106,7 @@ func newVisualRunner(p media.Profile, cfg Config) (*visualRunner, error) {
 		return nil, fmt.Errorf("campaign: archiving %s catalog corpus: %w", p.Name, err)
 	}
 	return &visualRunner{profile: p, corpus: corpus, arch: arch, archCat: archCat,
-		bootstrap: arch.BootstrapText, fastSim: cfg.FastSim}, nil
+		bootstrap: arch.BootstrapText}, nil
 }
 
 func (r *visualRunner) axes(requested []string) []string {
@@ -144,9 +143,6 @@ func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, out *by
 	}
 	vol := r.arch.Volume.Clone()
 	scanner := r.profile.Scanner
-	// The fast-sim selector rides every scanner pass of the trial: Scale
-	// passes it through, so generational copies inherit it too.
-	scanner.FastSim = r.fastSim
 
 	switch axis {
 	case AxisSeverity:
@@ -220,7 +216,6 @@ func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, out *by
 func (r *visualRunner) salvageTrial(value float64, rng *rand.Rand, out *bytes.Buffer) outcome {
 	vol := r.archCat.Volume.Clone()
 	scanner := r.profile.Scanner
-	scanner.FastSim = r.fastSim
 	scanner.Seed = rng.Int63() | 1
 	vol.SetScanner(scanner)
 

@@ -65,6 +65,19 @@ func TestErrorTaxonomyTable(t *testing.T) {
 			restore: true,
 		},
 		{
+			// The geometry marker's trailing "====" also opens the
+			// emulator marker: Parse must report the missing section,
+			// not slice past its own end.
+			name: "restore/overlapping-bootstrap-markers",
+			run: func() error {
+				text := "==== MICR'OLONYS BOOTSTRAP v1 ====\n" +
+					"==== SECTION 2: EMBLEM GEOMETRY ==== SECTION 3: DYNARISC EMULATOR (letters) ====\n"
+				_, _, err := RestoreVolume(arch.Volume, text, RestoreOptions{Mode: RestoreNative})
+				return err
+			},
+			restore: true,
+		},
+		{
 			name: "range/cancelled-context",
 			run: func() error {
 				_, _, err := RestoreRange(idx.Volume, idx.BootstrapText, 0, 128,

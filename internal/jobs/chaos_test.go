@@ -272,9 +272,11 @@ func TestChaosAcceptance(t *testing.T) {
 		if !ok {
 			t.Fatalf("journal invented job %d", s.ID)
 		}
-		if s.State != want.State || s.Retries != want.Retries {
-			t.Errorf("journal job %d: state %s retries %d, live %s/%d",
-				s.ID, s.State, s.Retries, want.State, want.Retries)
+		if s.State != want.State || s.Retries != want.Retries ||
+			s.Attempts != want.Attempts || s.Err != want.Err {
+			t.Errorf("journal job %d: state %s retries %d attempts %d err %q, live %s/%d/%d/%q",
+				s.ID, s.State, s.Retries, s.Attempts, s.Err,
+				want.State, want.Retries, want.Attempts, want.Err)
 		}
 	}
 

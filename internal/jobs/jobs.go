@@ -686,9 +686,9 @@ func (m *Manager) finish(j *job, res Result, err error) {
 	j.err = err
 	j.result = res
 	j.finished = time.Now()
-	retries := j.retries
+	attempts, retries := j.attempts, j.retries
 	j.mu.Unlock()
-	ev := event{T: "done", ID: j.id, Kind: j.req.Kind, State: state, Retries: retries}
+	ev := event{T: "done", ID: j.id, Kind: j.req.Kind, State: state, Attempt: attempts, Retries: retries}
 	if err != nil {
 		ev.Err = err.Error()
 	}

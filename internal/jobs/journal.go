@@ -24,8 +24,8 @@ type event struct {
 	TS       time.Time `json:"ts"`
 	ID       int64     `json:"id,omitempty"`
 	Kind     Kind      `json:"kind,omitempty"`
-	State    State     `json:"state,omitempty"` // terminal state, on done
-	Attempt  int       `json:"attempt,omitempty"`
+	State    State     `json:"state,omitempty"`   // terminal state, on done
+	Attempt  int       `json:"attempt,omitempty"` // on retry: the failed attempt; on done: attempts made
 	Retries  int       `json:"retries,omitempty"`
 	Err      string    `json:"err,omitempty"`
 	Graceful bool      `json:"graceful,omitempty"` // on drain: all jobs finished in time
@@ -114,6 +114,11 @@ func ReplayJournal(path string) ([]Snapshot, error) {
 			}
 		case "done":
 			if s := table[ev.ID]; s != nil {
+				// A done event from an older journal has no attempt
+				// count; the retry events' figure stands then.
+				if ev.Attempt > 0 {
+					s.Attempts = ev.Attempt
+				}
 				s.State = ev.State
 				s.Retries = ev.Retries
 				s.Err = ev.Err

@@ -43,20 +43,6 @@ type Distortions struct {
 	DustMaxRadius int // max blob radius, pixels (default 3)
 	Scratches     int // thin straight lines across the frame
 
-	// FastSim selects the fast scanner approximation instead of the
-	// reference simulation: nearest-neighbor geometry resampling in place
-	// of the bilinear four-tap warp, additive noise drawn from a shared
-	// pre-generated normal stream (one random offset per frame) in place
-	// of a per-pixel Gaussian draw, and a box blur whose window mean is
-	// quantised by fixed-point multiply-shift. The output is NOT
-	// byte-identical to the reference — the contract is *statistical*
-	// equivalence: campaign recovery curves under FastSim must stay
-	// within the regression gate's binomial tolerance bands of the
-	// committed reference curves (`campaign -fastsim -diff CAMPAIGN.json`
-	// is the enforcement). Determinism still holds: the same Seed always
-	// produces the same fast-sim scan. FastSim affects neither IsZero nor
-	// Scale — it selects an implementation, not a severity.
-	FastSim bool
 }
 
 // Scale returns the model with every severity dial multiplied by f — the
@@ -94,133 +80,54 @@ func (d Distortions) IsZero() bool {
 		d.DustSpecks <= 0 && d.Scratches <= 0
 }
 
-// Apply returns a distorted copy of img.
+// Apply returns a distorted copy of img: applyInto over a fresh scratch.
+// The result is a copy of the image header, so the scratch's other
+// buffers do not stay reachable from a stored frame.
 func (d Distortions) Apply(img *raster.Gray) *raster.Gray {
-	if d.IsZero() {
-		return img.Clone()
-	}
-	rng := rand.New(rand.NewSource(d.Seed))
-	out := img
-
-	// Geometric distortions share one inverse mapping so the image is
-	// resampled only once. The mapping hoists everything row-invariant —
-	// the jitter shift and the rotation terms of the row's y offset — out
-	// of the per-pixel loop; each hoisted value is the same single
-	// operation on the same operands as the per-pixel formulation, so the
-	// resampled image is bit-identical (TestApplyFastPathDifferential).
-	if d.RotationDeg != 0 || d.BarrelK != 0 || d.RowJitterPx != 0 {
-		jitter := rowJitter(rng, out.H, d.RowJitterPx)
-		src := out
-		out = d.warpGeometry(src, &raster.Gray{}, jitter)
-	}
-
-	if d.BlurRadius > 0 {
-		if d.FastSim {
-			out = out.BoxBlurApproxInto(&raster.Gray{}, &raster.Gray{}, d.BlurRadius)
-		} else {
-			out = out.BoxBlur(d.BlurRadius)
-		}
-	}
-
-	if d.Fade > 0 || d.Gradient > 0 || d.Noise > 0 {
-		if out == img {
-			out = img.Clone()
-		}
-		if d.FastSim && d.Noise > 0 {
-			d.photometryFastInPlace(out, rng)
-		} else {
-			d.photometryInPlace(out, rng)
-		}
-	}
-
-	if d.DustSpecks > 0 || d.Scratches > 0 {
-		if out == img {
-			out = img.Clone()
-		}
-		d.damageInPlace(out, rng)
-	}
-
-	if out == img {
-		out = img.Clone()
-	}
-	return out
+	out := *d.applyInto(&ScanScratch{}, img)
+	return &out
 }
 
-// geometryRowMapper builds the raster.WarpRows row hook for the geometric
-// distortions (jitter shift, lens curvature, rotation) of a w×h frame —
-// the single inverse mapping Apply and the scan-scratch applyInto share,
-// so both resample identically.
-func (d Distortions) geometryRowMapper(w, h int, jitter []float64) func(y float64) func(x float64) (float64, float64) {
+// warpGeometry resamples src→dst through the inverse mapping of the
+// geometric distortions: per-row jitter shift, then lens curvature, then
+// rotation about the frame centre. Barrel-free models (every built-in
+// scanner except microfilm) take the raster specialization; lens
+// curvature runs through a per-row mapper that hoists the jitter shift and
+// the row's y offset. Both evaluate the per-pixel reference arithmetic, so
+// the resampled bytes are bit-identical to it
+// (TestApplyFastPathDifferential covers each model class).
+func (d Distortions) warpGeometry(src, dst *raster.Gray, jitter []float64) *raster.Gray {
 	theta := d.RotationDeg * math.Pi / 180
 	sin, cos := math.Sin(theta), math.Cos(theta)
-	cx, cy := float64(w)/2, float64(h)/2
+	if d.RowJitterPx == 0 {
+		jitter = nil
+	}
+	if d.BarrelK == 0 {
+		return src.WarpShiftRotateInto(dst, sin, cos, theta != 0, jitter)
+	}
+	cx, cy := float64(src.W)/2, float64(src.H)/2
 	rmax := math.Hypot(cx, cy)
-	return func(y float64) func(x float64) (float64, float64) {
+	return src.WarpRowsInto(dst, func(y float64) func(x float64) (float64, float64) {
 		shift := 0.0
-		if d.RowJitterPx != 0 {
-			if yi := int(y); yi >= 0 && yi < len(jitter) {
-				shift = jitter[yi]
-			}
+		if yi := int(y); yi >= 0 && yi < len(jitter) {
+			shift = jitter[yi]
 		}
 		dy := y - cy
-		sinDy, cosDy := sin*dy, cos*dy
 		return func(x float64) (float64, float64) {
-			if d.RowJitterPx != 0 {
+			if jitter != nil {
 				x += shift
 			}
 			dx := x - cx
-			if d.BarrelK != 0 {
-				r := math.Hypot(dx, dy) / rmax
-				s := 1 + d.BarrelK*r*r
-				dx *= s
-				dyb := dy * s
-				if theta != 0 {
-					return cx + (cos*dx - sin*dyb), cy + (sin*dx + cos*dyb)
-				}
-				return cx + dx, cy + dyb
-			}
+			r := math.Hypot(dx, dy) / rmax
+			s := 1 + d.BarrelK*r*r
+			dx *= s
+			dyb := dy * s
 			if theta != 0 {
-				return cx + (cos*dx - sinDy), cy + (sin*dx + cosDy)
+				return cx + (cos*dx - sin*dyb), cy + (sin*dx + cos*dyb)
 			}
-			return cx + dx, cy + dy
+			return cx + dx, cy + dyb
 		}
-	}
-}
-
-// warpGeometry runs the geometric resample src→dst through the
-// barrel-free raster specialization when the model allows it (every
-// built-in scanner except microfilm), the general row mapper otherwise.
-// Both evaluate identical per-pixel arithmetic, so the resampled bytes
-// are the same either way (TestApplyFastPathDifferential covers each
-// model class).
-func (d Distortions) warpGeometry(src, dst *raster.Gray, jitter []float64) *raster.Gray {
-	if d.FastSim {
-		// Fast-sim: nearest-neighbor resample through the same inverse
-		// mapping — coarser sampling, identical geometry. Barrel-free
-		// models take the allocation-free specialization, mirroring the
-		// reference path below (TestWarpNearestSpecialization pins the
-		// two nearest formulations to each other).
-		if d.BarrelK == 0 {
-			theta := d.RotationDeg * math.Pi / 180
-			sin, cos := math.Sin(theta), math.Cos(theta)
-			var j []float64
-			if d.RowJitterPx != 0 {
-				j = jitter
-			}
-			return src.WarpShiftRotateNearestInto(dst, sin, cos, theta != 0, j)
-		}
-		return src.WarpRowsNearestInto(dst, d.geometryRowMapper(src.W, src.H, jitter))
-	}
-	if d.BarrelK == 0 {
-		theta := d.RotationDeg * math.Pi / 180
-		sin, cos := math.Sin(theta), math.Cos(theta)
-		var j []float64
-		if d.RowJitterPx != 0 {
-			j = jitter
-		}
-		return src.WarpShiftRotateInto(dst, sin, cos, theta != 0, j)
-	}
-	return src.WarpRowsInto(dst, d.geometryRowMapper(src.W, src.H, jitter))
+	})
 }
 
 // photometryInPlace applies fade, illumination gradient and noise to out.
@@ -280,15 +187,10 @@ func (d Distortions) damageInPlace(out *raster.Gray, rng *rand.Rand) {
 	}
 }
 
-// rowJitter builds a bounded random walk: adjacent scan lines drift by a
-// fraction of a pixel, accumulating up to ±amplitude — the signature of
-// unsteady transport in linear-array scanners and ADFs.
-func rowJitter(rng *rand.Rand, rows int, amplitude float64) []float64 {
-	return rowJitterInto(rng, nil, rows, amplitude)
-}
-
-// rowJitterInto is rowJitter into a reused buffer. A zero amplitude
-// consumes no randomness, exactly like rowJitter.
+// rowJitterInto builds a bounded random walk into a reused buffer:
+// adjacent scan lines drift by a fraction of a pixel, accumulating up to
+// ±amplitude — the signature of unsteady transport in linear-array
+// scanners and ADFs. A zero amplitude consumes no randomness.
 func rowJitterInto(rng *rand.Rand, buf []float64, rows int, amplitude float64) []float64 {
 	if cap(buf) < rows {
 		buf = make([]float64, rows)

@@ -20,7 +20,7 @@ func applyRef(d Distortions, img *raster.Gray) *raster.Gray {
 		sin, cos := math.Sin(theta), math.Cos(theta)
 		cx, cy := float64(out.W)/2, float64(out.H)/2
 		rmax := math.Hypot(cx, cy)
-		jitter := rowJitter(rng, out.H, d.RowJitterPx)
+		jitter := rowJitterInto(rng, nil, out.H, d.RowJitterPx)
 		src := out
 		out = src.Warp(func(x, y float64) (float64, float64) {
 			if d.RowJitterPx != 0 {

@@ -170,31 +170,12 @@ func (m *Medium) Profile() Profile { return m.profile }
 // Write appends frames to the medium, applying writer-side quantisation
 // and distortion. Frames must match the profile's frame size.
 func (m *Medium) Write(frames []*raster.Gray) error {
-	writerZero := m.profile.Writer.IsZero()
 	for i, f := range frames {
 		if f.W != m.profile.FrameW || f.H != m.profile.FrameH {
 			return fmt.Errorf("media: frame %d is %dx%d, profile %q wants %dx%d",
 				i, f.W, f.H, m.profile.Name, m.profile.FrameW, m.profile.FrameH)
 		}
-		var out *raster.Gray
-		switch {
-		case writerZero && m.profile.WriteBitonal:
-			// No writer distortion (all built-in profiles): quantisation
-			// allocates the stored frame itself, so the distortion pass's
-			// intermediate clone is skipped. Threshold(Clone(f)) and
-			// Threshold(f) are the same bytes.
-			out = f.Threshold(f.OtsuThreshold())
-		case writerZero:
-			out = f.Clone() // the medium owns its pixels
-		default:
-			d := m.profile.Writer
-			d.Seed = int64(len(m.frames))*7919 + 1
-			out = d.Apply(f)
-			if m.profile.WriteBitonal {
-				out = out.Threshold(out.OtsuThreshold())
-			}
-		}
-		m.frames = append(m.frames, out)
+		m.frames = append(m.frames, m.written(len(m.frames), f))
 	}
 	return nil
 }
@@ -214,22 +195,28 @@ func (m *Medium) WriteAt(i int, f *raster.Gray) error {
 		return fmt.Errorf("media: frame is %dx%d, profile %q wants %dx%d",
 			f.W, f.H, m.profile.Name, m.profile.FrameW, m.profile.FrameH)
 	}
-	var out *raster.Gray
-	switch {
-	case m.profile.Writer.IsZero() && m.profile.WriteBitonal:
-		out = f.Threshold(f.OtsuThreshold())
-	case m.profile.Writer.IsZero():
-		out = f.Clone()
-	default:
-		d := m.profile.Writer
+	m.frames[i] = m.written(i, f)
+	return nil
+}
+
+// written returns frame f as the writer stores it at index i: the writer
+// distortion, seeded by the index, then bitonal quantisation when the
+// profile has it. The result never aliases f — the medium owns its
+// pixels. A distortion-free writer (every built-in profile) skips the
+// distortion pass, so quantisation allocates the stored frame itself.
+func (m *Medium) written(i int, f *raster.Gray) *raster.Gray {
+	out := f
+	if d := m.profile.Writer; !d.IsZero() {
 		d.Seed = int64(i)*7919 + 1
 		out = d.Apply(f)
-		if m.profile.WriteBitonal {
-			out = out.Threshold(out.OtsuThreshold())
-		}
 	}
-	m.frames[i] = out
-	return nil
+	switch {
+	case m.profile.WriteBitonal:
+		return out.Threshold(out.OtsuThreshold())
+	case out == f:
+		return f.Clone()
+	}
+	return out
 }
 
 // Truncate discards every frame from index n on — the fault model of a
@@ -271,9 +258,10 @@ func (m *Medium) SetScanner(d Distortions) { m.profile.Scanner = d }
 // so each generation draws fresh noise.
 func (m *Medium) Reprint() (*Medium, error) {
 	out := New(m.profile)
+	var s ScanScratch // Write copies what it stores, so one scratch serves every frame
 	buf := make([]*raster.Gray, 1)
 	for i := range m.frames {
-		img, err := m.ScanFrame(i)
+		img, err := m.ScanFrameInto(&s, i)
 		if err != nil {
 			return nil, err
 		}
@@ -324,32 +312,6 @@ func (m *Medium) Destroy(i int) error {
 	}
 	m.frames[i] = fogged
 	return nil
-}
-
-// ScanFrame captures one frame at the scanner's resolution and applies
-// the scanner's distortion model.
-func (m *Medium) ScanFrame(i int) (*raster.Gray, error) {
-	if i < 0 || i >= len(m.frames) {
-		return nil, fmt.Errorf("media: frame %d out of range", i)
-	}
-	img := m.frames[i]
-	if m.profile.ScanW != m.profile.FrameW || m.profile.ScanH != m.profile.FrameH {
-		img = img.Resize(m.profile.ScanW, m.profile.ScanH)
-	}
-	d := m.profile.Scanner
-	d.Seed = scanSeed(d.Seed, i)
-	switch {
-	case !d.IsZero():
-		img = d.Apply(img)
-	case img == m.frames[i]:
-		// Distortion-free scanner at native resolution: Apply would only
-		// clone — do just that, so the caller never sees stored pixels.
-		img = img.Clone()
-	}
-	if m.profile.ScanBitonal {
-		img = img.Threshold(img.OtsuThreshold())
-	}
-	return img, nil
 }
 
 // Scan captures every frame in order.

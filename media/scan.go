@@ -7,7 +7,7 @@ import (
 	"microlonys/raster"
 )
 
-// ScanScratch holds the image buffers ScanFrameInto renders through: the
+// ScanScratch holds the image buffers a scan renders through: the
 // returned scan, a staging buffer for the resample source, the blur
 // intermediate, and the scanner-jitter walk. One scratch belongs to one
 // scanning goroutine (the restore pipeline threads one per worker); a
@@ -17,12 +17,23 @@ type ScanScratch struct {
 	jitter           []float64
 }
 
-// ScanFrameInto is ScanFrame through the caller's scratch: the resample,
-// distortion and threshold stages render into the scratch images instead
-// of allocating two or three full-resolution frames per scan. The
-// returned image aliases the scratch and is valid until the next call;
-// its pixels are byte-identical to ScanFrame's
-// (TestScanFrameIntoMatchesScanFrame).
+// ScanFrame captures one frame at the scanner's resolution and applies
+// the scanner's distortion model: ScanFrameInto over a fresh scratch. The
+// result is a copy of the image header, so the scratch's other buffers do
+// not stay reachable from the caller's image.
+func (m *Medium) ScanFrame(i int) (*raster.Gray, error) {
+	img, err := m.ScanFrameInto(&ScanScratch{}, i)
+	if err != nil {
+		return nil, err
+	}
+	out := *img
+	return &out, nil
+}
+
+// ScanFrameInto is the scan of frame i through the caller's scratch: the
+// resample, distortion and threshold stages render into the scratch
+// images instead of allocating full-resolution frames per scan. The
+// returned image aliases the scratch and is valid until the next call.
 func (m *Medium) ScanFrameInto(s *ScanScratch, i int) (*raster.Gray, error) {
 	if i < 0 || i >= len(m.frames) {
 		return nil, fmt.Errorf("media: frame %d out of range", i)
@@ -41,12 +52,13 @@ func (m *Medium) ScanFrameInto(s *ScanScratch, i int) (*raster.Gray, error) {
 	return out, nil
 }
 
-// applyInto is Apply rendering into the scratch: the result always lands
-// in s.out (never aliasing src), intermediate stages ping-pong through
-// the scratch buffers, and the in-place stages mutate s.out directly. The
-// stage order, the random-number consumption and the per-stage arithmetic
-// are shared with Apply (geometryRowMapper, photometryInPlace,
-// damageInPlace), so the output is bit-identical.
+// applyInto applies the distortion model to src, rendering into the
+// scratch: the result always lands in s.out (never aliasing src, and
+// src is never written), the geometry and blur stages ping-pong through
+// the scratch buffers, and the photometry and damage stages mutate s.out
+// in place. The stages run in a fixed order from one seeded random
+// stream — geometry, blur, photometry, damage — which is the whole
+// distortion model: Apply, ScanFrame and Reprint all run through here.
 func (d Distortions) applyInto(s *ScanScratch, src *raster.Gray) *raster.Gray {
 	if d.IsZero() {
 		return src.CopyInto(&s.out)
@@ -61,21 +73,13 @@ func (d Distortions) applyInto(s *ScanScratch, src *raster.Gray) *raster.Gray {
 	if d.BlurRadius > 0 {
 		// The blur may write over its own source (cur can already be
 		// s.out); the horizontal pass consumes it into s.blur first.
-		if d.FastSim {
-			cur = cur.BoxBlurApproxInto(&s.out, &s.blur, d.BlurRadius)
-		} else {
-			cur = cur.BoxBlurInto(&s.out, &s.blur, d.BlurRadius)
-		}
+		cur = cur.BoxBlurInto(&s.out, &s.blur, d.BlurRadius)
 	}
 	if cur != &s.out {
 		cur = cur.CopyInto(&s.out) // own the pixels before mutating stages
 	}
 	if d.Fade > 0 || d.Gradient > 0 || d.Noise > 0 {
-		if d.FastSim && d.Noise > 0 {
-			d.photometryFastInPlace(cur, rng)
-		} else {
-			d.photometryInPlace(cur, rng)
-		}
+		d.photometryInPlace(cur, rng)
 	}
 	if d.DustSpecks > 0 || d.Scratches > 0 {
 		d.damageInPlace(cur, rng)

@@ -199,23 +199,4 @@ func BenchmarkScanFrame(b *testing.B) {
 			}
 		}
 	})
-	b.Run("fastsim-reused", func(b *testing.B) {
-		fp := p
-		fp.Scanner.FastSim = true
-		fm := New(fp)
-		if err := fm.Write([]*raster.Gray{img}); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		var s ScanScratch
-		if _, err := fm.ScanFrameInto(&s, 0); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := fm.ScanFrameInto(&s, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -472,98 +472,6 @@ func (g *Gray) WarpShiftRotateInto(dst *Gray, sin, cos float64, rotate bool, jit
 	return out
 }
 
-// WarpShiftRotateNearestInto is WarpShiftRotateInto with nearest-neighbor
-// sampling: the same barrel-free inverse mapping (per-row jitter shift
-// plus optional rotation about the center), but each output pixel copies
-// the source pixel nearest the mapped position instead of blending four.
-// It is the fast-sim counterpart of the barrel-free specialization —
-// allocation-free per call once dst is sized, where the generic
-// WarpRowsNearestInto pays one row-closure allocation per scan line.
-func (g *Gray) WarpShiftRotateNearestInto(dst *Gray, sin, cos float64, rotate bool, jitter []float64) *Gray {
-	out := dst
-	out.reshape(g.W, g.H)
-	w, h := g.W, g.H
-	pix := g.Pix
-	cx, cy := float64(w)/2, float64(h)/2
-	hasJitter := jitter != nil
-	for y := 0; y < h; y++ {
-		fy := float64(y)
-		shift := 0.0
-		if hasJitter {
-			if yi := int(fy); yi >= 0 && yi < len(jitter) {
-				shift = jitter[yi]
-			}
-		}
-		dy := fy - cy
-		sinDy, cosDy := sin*dy, cos*dy
-		row := out.row(y)
-		for x := 0; x < w; x++ {
-			fx := float64(x)
-			if hasJitter {
-				fx += shift
-			}
-			dx := fx - cx
-			var sx, sy float64
-			if rotate {
-				sx = cx + (cos*dx - sinDy)
-				sy = cy + (sin*dx + cosDy)
-			} else {
-				sx = cx + dx
-				sy = cy + dy
-			}
-			xi := int(sx + 0.5)
-			yi := int(sy + 0.5)
-			if xi < 0 {
-				xi = 0
-			} else if xi >= w {
-				xi = w - 1
-			}
-			if yi < 0 {
-				yi = 0
-			} else if yi >= h {
-				yi = h - 1
-			}
-			row[x] = pix[yi*w+xi]
-		}
-	}
-	return out
-}
-
-// WarpRowsNearestInto is WarpRowsInto with nearest-neighbor sampling: each
-// output pixel copies the source pixel nearest the inverse-mapped
-// position (coordinates rounded, then clamped to the frame). It is the
-// fast-sim scanner's coarser geometry resample — one load per pixel
-// instead of the bilinear four-tap blend — and is NOT byte-identical to
-// the bilinear warp; the media package's fast-sim contract is statistical
-// equivalence, not bit equality. dst must not alias g.
-func (g *Gray) WarpRowsNearestInto(dst *Gray, rowf func(y float64) func(x float64) (sx, sy float64)) *Gray {
-	out := dst
-	out.reshape(g.W, g.H)
-	w, h := g.W, g.H
-	pix := g.Pix
-	for y := 0; y < h; y++ {
-		row := out.row(y)
-		f := rowf(float64(y))
-		for x := 0; x < w; x++ {
-			sx, sy := f(float64(x))
-			xi := int(sx + 0.5)
-			yi := int(sy + 0.5)
-			if xi < 0 {
-				xi = 0
-			} else if xi >= w {
-				xi = w - 1
-			}
-			if yi < 0 {
-				yi = 0
-			} else if yi >= h {
-				yi = h - 1
-			}
-			row[x] = pix[yi*w+xi]
-		}
-	}
-	return out
-}
-
 // BoxBlur applies an n-radius box blur (separable, two passes). Three
 // successive box blurs approximate a Gaussian; one pass models mild lens
 // defocus well enough for the decode-robustness experiments.
@@ -637,74 +545,6 @@ func (g *Gray) BoxBlurInto(dst, tmp *Gray, radius int) *Gray {
 		dst := out.Pix[y*g.W : y*g.W+g.W]
 		for x := range dst {
 			dst[x] = div[sums[x]]
-		}
-		add := tmp.row(clampRow(y+radius+1, g.H))
-		sub := tmp.row(clampRow(y-radius, g.H))
-		for x := range sums {
-			sums[x] += int(add[x]) - int(sub[x])
-		}
-	}
-	return out
-}
-
-// BoxBlurApproxInto is BoxBlurInto with the window-mean division replaced
-// by a fixed-point multiply-shift: q = (sum·m) >> 24 with m = ⌈2^24/win⌉,
-// which stays within one gray level of the exact byte(sum/win) over the
-// whole sum range and needs no per-call division table. It is the
-// fast-sim scanner's coarser blur — same separable two-pass structure and
-// window sums, approximate quantisation — and is NOT byte-identical to
-// BoxBlurInto. Aliasing rules match BoxBlurInto: dst may alias g, tmp
-// must alias neither.
-func (g *Gray) BoxBlurApproxInto(dst, tmp *Gray, radius int) *Gray {
-	if radius <= 0 {
-		return g.CopyInto(dst)
-	}
-	tmp.reshape(g.W, g.H)
-	win := 2*radius + 1
-	m := uint64((1<<24 + win - 1) / win)
-	q := func(sum int) byte { return byte(uint64(sum) * m >> 24) }
-	// horizontal (window slide identical to BoxBlurInto)
-	lo, hi := radius, g.W-radius-1
-	if lo > g.W {
-		lo = g.W
-	}
-	if hi < lo {
-		hi = lo
-	}
-	for y := 0; y < g.H; y++ {
-		row := g.Pix[y*g.W : y*g.W+g.W]
-		var sum int
-		for x := -radius; x <= radius; x++ {
-			sum += int(atClamped(row, g.W, x))
-		}
-		dst := tmp.Pix[y*g.W:]
-		for x := 0; x < lo; x++ {
-			dst[x] = q(sum)
-			sum += int(atClamped(row, g.W, x+radius+1)) - int(atClamped(row, g.W, x-radius))
-		}
-		for x := lo; x < hi; x++ {
-			dst[x] = q(sum)
-			sum += int(row[x+radius+1]) - int(row[x-radius])
-		}
-		for x := hi; x < g.W; x++ {
-			dst[x] = q(sum)
-			sum += int(atClamped(row, g.W, x+radius+1)) - int(atClamped(row, g.W, x-radius))
-		}
-	}
-	// vertical (running column sums, as in BoxBlurInto)
-	out := dst
-	out.reshape(g.W, g.H)
-	sums := make([]int, g.W)
-	for y := -radius; y <= radius; y++ {
-		row := tmp.row(clampRow(y, g.H))
-		for x, p := range row {
-			sums[x] += int(p)
-		}
-	}
-	for y := 0; y < g.H; y++ {
-		dst := out.Pix[y*g.W : y*g.W+g.W]
-		for x := range dst {
-			dst[x] = q(sums[x])
 		}
 		add := tmp.row(clampRow(y+radius+1, g.H))
 		sub := tmp.row(clampRow(y-radius, g.H))
