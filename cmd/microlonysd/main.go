@@ -1,6 +1,8 @@
 // Command microlonysd is the archival job service: a long-running HTTP
 // daemon that runs many concurrent archive/restore/salvage/range-query
-// jobs against one shared bounded worker pool (internal/jobs).
+// jobs (internal/jobs). -workers sets how many jobs run at once; each job
+// decodes or encodes on every core the others leave idle, because all
+// jobs share the core's GOMAXPROCS frame slots.
 //
 //	microlonysd [-addr :8732] [-workers 4] [-queue 32] [-retries 3]
 //	            [-journal PATH] [-drain 30s] [-profile paper|microfilm|cinema|tiny]
@@ -91,7 +93,7 @@ type server struct {
 func run(args []string, ready chan<- string) error {
 	fs := flag.NewFlagSet("microlonysd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8732", "listen address")
-	workers := fs.Int("workers", 4, "shared worker pool size (total pipeline parallelism)")
+	workers := fs.Int("workers", 4, "jobs run at once (all jobs share GOMAXPROCS frame slots)")
 	queue := fs.Int("queue", 32, "admission queue depth; beyond it submissions get 429")
 	retries := fs.Int("retries", 3, "retry budget for transient I/O faults per job")
 	journal := fs.String("journal", "", "append-only JSONL job journal path (empty: no journal)")

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -201,9 +202,10 @@ func Run(cfg Config) (*Result, error) {
 
 	outcomes := make([]outcome, len(jobs))
 	workers := cfg.Workers
-	if workers <= 0 || workers > len(jobs) {
-		workers = len(jobs)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, len(jobs))
 	next := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -209,8 +209,8 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	}
 
 	// Plan → encode → place. The layout fixes every group's frames and
-	// sheet before the first group is cut, so the pool (and its scratch)
-	// never exceeds the frames there are to encode.
+	// sheet before the first group is cut, so the pool never exceeds the
+	// frames there are to encode.
 	p, err := newPlanner(opts, capacity, man, sections)
 	if err != nil {
 		return nil, err
@@ -227,9 +227,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		}
 	}
 	last := p.groups[len(p.groups)-1]
-	workers := resolveWorkers(opts.Workers, last.frame+last.size())
-	scratch := make([]encScratch, workers)
-	if err := pipelineGroups(p, sections, layout, vol, workers, scratch); err != nil {
+	if err := pipelineGroups(p, sections, layout, vol, resolveWorkers(opts.Workers, last.frame+last.size())); err != nil {
 		return nil, err
 	}
 	p.man.Sheets = last.sheet + 1
@@ -265,18 +263,21 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 
 	// Catalog volumes: with every group placed the inventory is complete,
 	// so render each sheet's catalog emblem and back-patch the reserved
-	// slot 0 (byte-identical to having written it in sequence).
-	if opts.Catalog {
-		if err := p.fillCatalogs(vol, capacity, &scratch[0], indexPayload); err != nil {
+	// slot 0 (byte-identical to having written it in sequence). The
+	// reserved emblems render here, serially, as one frame task: holding
+	// a slot and encoder scratch borrowed for it.
+	if opts.Catalog || opts.Index {
+		var err error
+		if serr := withSlot(orBackground(opts.Context), func() {
+			sc := encPool.Get().(*encScratch)
+			err = p.fillReservedSlots(vol, capacity, sc, indexPayload)
+			encPool.Put(sc)
+		}); serr != nil {
+			return nil, serr
+		}
+		if err != nil {
 			return nil, err
 		}
-		p.man.CatalogFrames = p.man.Sheets
-	}
-	if opts.Index {
-		if err := p.fillIndexes(vol, indexPayload, &scratch[0]); err != nil {
-			return nil, err
-		}
-		p.man.IndexFrames = p.man.Sheets
 	}
 
 	// Step 6: Bootstrap document.
@@ -517,7 +518,8 @@ type encodeTask struct {
 // overlapped: a planner goroutine cuts groups and feeds the bounded
 // groups queue (plan order, pipelineGroupDepth deep) and the frame-task
 // channel; `workers` encode goroutines drain tasks into their group's
-// frame slots; the placer — this goroutine — consumes the groups queue
+// frame slots, each encode holding a process-wide frame slot (see
+// frameSlots); the placer — this goroutine — consumes the groups queue
 // in order, waiting per group for its last frame. Output is byte-
 // identical at any worker count: frame indices, headers and group order
 // are fixed at planning time, and the placer writes whole groups in plan
@@ -525,10 +527,13 @@ type encodeTask struct {
 // order reports its lowest-index frame error (cancelling the rest), and a
 // planner error surfaces only once every group it emitted has been
 // placed. Cancellation of the caller's context stops the placer at the
-// next group and is returned as the context's error.
-func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout, vol *media.Volume, workers int, scratch []encScratch) error {
+// next group and is returned as the context's error. A panic in the
+// planner, an encode or a write cancels the rest and is re-raised here
+// once the planner and the encoders have exited.
+func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout, vol *media.Volume, workers int) error {
 	ctx, cancel := context.WithCancel(orBackground(p.opts.Context))
 	defer cancel()
+	var ps panics
 
 	groups := make(chan *plannedGroup, pipelineGroupDepth)
 	tasks := make(chan encodeTask, workers)
@@ -563,7 +568,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 			}
 			return nil
 		}
-		planErr <- p.plan(sections, emit)
+		planErr <- ps.run(cancel, func() error { return p.plan(sections, emit) })
 	}()
 
 	// Encode stage: the parallel middle. After cancellation the workers
@@ -572,27 +577,17 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			for t := range tasks {
 				if ctx.Err() == nil {
-					ft := &t.pg.tasks[t.i]
-					img, err := scratch[worker].enc.Encode(ft.payload, ft.hdr, layout)
-					if err != nil {
-						kind := "emblem"
-						if ft.hdr.Kind == emblem.KindParity {
-							kind = "parity emblem"
-						}
-						t.pg.errs[t.i] = fmt.Errorf("core: encoding %s: %w", kind, err)
-					} else {
-						t.pg.frames[t.i] = img
-					}
+					t.pg.errs[t.i] = ps.run(cancel, func() error { return t.encode(ctx, layout) })
 				}
 				if atomic.AddInt64(&t.pg.left, -1) == 0 {
 					close(t.pg.done)
 				}
 			}
-		}(w)
+		}()
 	}
 
 	// Place stage, on the calling goroutine. After an error it keeps
@@ -617,7 +612,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 			}
 		}
 		if placeErr == nil {
-			if err := vol.WriteGroup(pg.frames); err != nil {
+			if err := ps.run(cancel, func() error { return vol.WriteGroup(pg.frames) }); err != nil {
 				placeErr = fmt.Errorf("core: writing medium: %w", err)
 			}
 		}
@@ -627,10 +622,37 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 	}
 	err := <-planErr
 	wg.Wait()
+	ps.rethrow()
 	if placeErr != nil {
 		return placeErr
 	}
 	return err
+}
+
+// encode rasterizes the task's frame into its group's frame slot, holding
+// a frame slot and encoder scratch borrowed for it. A task cancelled
+// while it waits for a slot leaves the frame unencoded; the placer then
+// reports the context's error and never places the group.
+func (t encodeTask) encode(ctx context.Context, layout emblem.Layout) error {
+	ft := &t.pg.tasks[t.i]
+	var img *raster.Gray
+	var err error
+	if withSlot(ctx, func() {
+		sc := encPool.Get().(*encScratch)
+		img, err = sc.enc.Encode(ft.payload, ft.hdr, layout)
+		encPool.Put(sc)
+	}) != nil {
+		return nil
+	}
+	if err != nil {
+		kind := "emblem"
+		if ft.hdr.Kind == emblem.KindParity {
+			kind = "parity emblem"
+		}
+		return fmt.Errorf("core: encoding %s: %w", kind, err)
+	}
+	t.pg.frames[t.i] = img
+	return nil
 }
 
 // orBackground resolves an optional caller context.
@@ -639,6 +661,24 @@ func orBackground(ctx context.Context) context.Context {
 		return context.Background()
 	}
 	return ctx
+}
+
+// fillReservedSlots renders the catalog and index emblems the options ask
+// for into every sheet's reserved slots and counts them in the manifest.
+func (p *planner) fillReservedSlots(vol *media.Volume, capacity int, scratch *encScratch, indexPayload []byte) error {
+	if p.opts.Catalog {
+		if err := p.fillCatalogs(vol, capacity, scratch, indexPayload); err != nil {
+			return err
+		}
+		p.man.CatalogFrames = p.man.Sheets
+	}
+	if p.opts.Index {
+		if err := p.fillIndexes(vol, indexPayload, scratch); err != nil {
+			return err
+		}
+		p.man.IndexFrames = p.man.Sheets
+	}
+	return nil
 }
 
 // fillCatalogs renders one catalog emblem per sheet — shared archive
@@ -823,14 +863,16 @@ func readerLen(r io.Reader) (int, io.Reader, error) {
 	return len(data), bytes.NewReader(data), nil
 }
 
-// encScratch is one worker's reusable frame-encode state, the archive
-// side's counterpart of restore's emuScratch: the mocoder.Encoder holds
+// encScratch is one frame task's reusable frame-encode state, the archive
+// side's counterpart of restore's scanScratch: the mocoder.Encoder holds
 // the padded-payload, RS-codeword, interleave and bit-stream buffers plus
-// the cached serpentine path. Each worker id owns exactly one goroutine
-// for a run (see pipelineGroups), so the scratch is reused serially
-// without locks and a steady-state frame encode allocates only the placed
-// frame. The scratch slice outlives the groups, so the reuse carries
-// across them.
+// the cached serpentine path. A task holds one for the length of one
+// frame, so the scratch is reused serially without locks and a
+// steady-state frame encode allocates only the placed frame.
 type encScratch struct {
 	enc mocoder.Encoder
 }
+
+// encPool keeps idle encScratch between frame tasks, borrowed only while
+// a task holds a frame slot, as scratchPool does for the restore side.
+var encPool = sync.Pool{New: func() any { return new(encScratch) }}

@@ -71,36 +71,30 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 // index listing and salvage all run the scan and decode stages of the
 // restoration pipeline (Figure 2b) through it, over their own frame plans
 // and with at most `workers` workers. Scan and decode are fused into one
-// parallel per-frame stage — a scan feeds exactly one decode, so splitting
+// parallel per-frame task — a scan feeds exactly one decode, so splitting
 // them would only buffer full-resolution frame images between two stages
-// of the same fan-out. Workers decode frames in any order; one consumer
-// goroutine drains an ordered frontier and hands each result to consume in
-// strict plan order, then releases its payload (consume copies what it
-// keeps). Whatever consume builds is therefore identical at any worker
-// count. A frame that fails to decode is a result, not an error — that is
-// what the outer code is for — but a frame that cannot even be scanned, a
-// consume error or cancellation stops the run; every such error matches
-// ErrRestore.
+// of the same fan-out — that runs holding a frame slot (see frameSlots).
+// Workers decode frames in any order; one consumer goroutine drains an
+// ordered frontier and hands each result to consume in strict plan
+// order, then releases its payload (consume copies what it keeps).
+// Whatever consume builds is therefore identical at any worker count and
+// any load. A frame that fails to decode is a result, not an error — that
+// is what the outer code is for — but a frame that cannot even be
+// scanned, a consume error or cancellation stops the run; every such
+// error matches ErrRestore. A panic in a task or in consume stops the run
+// too, and is re-raised here once the workers and the consumer have
+// exited.
 func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan []frameAddr, d *frameDecoder, consume func(k int, res *frameResult) error) error {
 	n := len(plan)
 	results := make([]frameResult, n)
-	workers = resolveWorkers(workers, n)
-	scratch := make([]*scanScratch, workers)
-	for w := range scratch {
-		scratch[w] = scratchPool.Get().(*scanScratch)
-	}
-	defer func() {
-		for _, sc := range scratch {
-			scratchPool.Put(sc)
-		}
-	}()
 	// Sized so workers never block on a momentarily busy consumer: twice
 	// the live pool plus one group of slack.
-	completed := make(chan int, 2*workers+mocoder.GroupData+mocoder.GroupParity)
+	completed := make(chan int, 2*resolveWorkers(workers, n)+mocoder.GroupData+mocoder.GroupParity)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	var ps panics
 	consumerErr := make(chan error, 1)
 	go func() {
 		fr := newFrontier(n)
@@ -109,7 +103,9 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 			fr.complete(k)
 			fr.drain(func(k int) {
 				if cerr == nil {
-					if cerr = consume(k, &results[k]); cerr != nil {
+					// A panic is an error here, so the loop keeps draining
+					// and no worker blocks on a send nobody receives.
+					if cerr = ps.run(cancel, func() error { return consume(k, &results[k]) }); cerr != nil {
 						cancel() // stop decoding frames nobody will consume
 					}
 				}
@@ -118,32 +114,27 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 		}
 		consumerErr <- cerr
 	}()
-
-	decErr := forEachFrame(ctx, workers, n, func(_ context.Context, worker, k int) error {
-		sc := scratch[worker]
-		a := plan[k]
-		scan, err := sheets[a.sheet].ScanFrameInto(&sc.scan, a.slot)
-		if err != nil {
-			return fmt.Errorf("%w: scanning sheet %d frame %d: %w", ErrRestore, a.sheet, a.slot, err)
-		}
-		res := &results[k]
-		res.scanned = true
-		if d.mode == RestoreNative {
-			var stats *mocoder.Stats
-			res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, d.layout)
-			if stats != nil {
-				res.corrected = stats.BytesCorrected
+	// forEachFrame re-raises a worker's panic; catching it here lets the
+	// consumer exit before it is raised again.
+	decErr := ps.run(cancel, func() error {
+		return forEachFrame(ctx, workers, n, func(ctx context.Context, _, k int) error {
+			a := plan[k]
+			var err error
+			if withSlot(ctx, func() { err = d.decode(sheets[a.sheet], a.slot, &results[k]) }) != nil {
+				return nil // cancelled while waiting for a slot; forEachFrame reports why
 			}
-		} else {
-			res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, d.moProg, scan, d.layout, d.mode)
-		}
-		res.decoded = err == nil
-		completed <- k
-		return nil
+			if err != nil {
+				return fmt.Errorf("%w: scanning sheet %d frame %d: %w", ErrRestore, a.sheet, a.slot, err)
+			}
+			completed <- k // after the slot is released: a stalled consumer holds none
+			return nil
+		})
 	})
 	close(completed)
-	if err := <-consumerErr; err != nil {
-		return err
+	cerr := <-consumerErr
+	ps.rethrow()
+	if cerr != nil {
+		return cerr
 	}
 	if decErr != nil && !errors.Is(decErr, ErrRestore) {
 		// Cancellation: wrap so callers can match either ErrRestore or the
@@ -153,24 +144,51 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 	return decErr
 }
 
-// scanScratch is one worker's reusable state for the fused scan+decode
-// stage: the media scan buffers (the full-resolution frame images the
-// scanner simulation renders through), the native decoder's per-frame
-// scratch, and the emulated modes' machine state. Each worker id owns
-// exactly one goroutine for a run (see forEachFrame), so the scratch is
-// reused serially without locks — a steady-state native frame decode
-// allocates only its payload and stats, and the scan stage is down to a
-// handful of small per-frame allocations (the distortion RNG and the
-// blur/warp lookup tables) instead of two or three full-resolution images.
+// decode scans and decodes slot of m into res on scratch borrowed for the
+// frame. Only a scan failure is an error: a failed decode is recorded in
+// res for the outer code. A panicking decode drops its scratch rather
+// than return it in an unknown state.
+func (d *frameDecoder) decode(m *media.Medium, slot int, res *frameResult) error {
+	sc := scratchPool.Get().(*scanScratch)
+	scan, err := m.ScanFrameInto(&sc.scan, slot)
+	if err != nil {
+		scratchPool.Put(sc)
+		return err
+	}
+	res.scanned = true
+	if d.mode == RestoreNative {
+		var stats *mocoder.Stats
+		res.payload, res.hdr, stats, err = mocoder.DecodeWith(&sc.dec, scan, d.layout)
+		if stats != nil {
+			res.corrected = stats.BytesCorrected
+		}
+	} else {
+		res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, d.moProg, scan, d.layout, d.mode)
+	}
+	res.decoded = err == nil
+	scratchPool.Put(sc)
+	return nil
+}
+
+// scanScratch is one frame task's reusable state for the fused
+// scan+decode stage: the media scan buffers (the full-resolution frame
+// images the scanner simulation renders through), the native decoder's
+// per-frame scratch, and the emulated modes' machine state. A task holds
+// one for the length of one frame, so the scratch is reused serially
+// without locks — a steady-state native frame decode allocates only its
+// payload and stats, and the scan stage is down to a handful of small
+// per-frame allocations (the distortion RNG and the blur/warp lookup
+// tables) instead of two or three full-resolution images.
 type scanScratch struct {
 	scan media.ScanScratch
 	dec  mocoder.DecodeScratch
 	emu  emuScratch
 }
 
-// scratchPool keeps idle scanScratch between runs: decodeFrames borrows
-// one per worker and returns them when the run ends, so back-to-back
-// restores — the damage campaign's thousands of trials, a job worker's
-// queue — pay the buffers once instead of once per call, with no state
+// scratchPool keeps idle scanScratch between frame tasks. A task borrows
+// one only while it holds a frame slot, so live scan scratch never
+// exceeds the slot count however many calls run, and back-to-back
+// restores — the damage campaign's thousands of trials, a daemon's job
+// stream — pay the buffers once instead of once per call, with no state
 // for the caller to create, size or confine.
 var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}

@@ -1,18 +1,20 @@
 // Package jobs runs many concurrent archive/restore/salvage/range-query
-// jobs against one shared bounded worker pool. It is the long-running
-// service layer the one-shot core facade lacks: a Manager owns K workers,
-// a bounded admission queue that sheds load instead of buffering without
-// limit, per-job deadlines and cancellation,
-// retry-with-backoff for transient I/O faults, panic isolation so one
-// poisoned job cannot take the process down, and an append-only JSONL
+// jobs. It is the long-running service layer the one-shot core facade
+// lacks: a Manager owns K workers, a bounded admission queue that sheds
+// load instead of buffering without limit, per-job deadlines and
+// cancellation, retry-with-backoff for transient I/O faults, panic
+// isolation so one poisoned job cannot take the process down — a panic
+// on any goroutine of its core call included — and an append-only JSONL
 // journal that survives a crash and replays on restart.
 //
-// Concurrency is bounded in exactly one place: each worker runs its job
-// with the core's Workers option forced to 1, so total pipeline
-// parallelism equals the manager's pool size no matter how many jobs are
-// in flight — there are no per-call worker pools stacking
-// multiplicatively. The core keeps its per-worker scan scratch in a pool,
-// so a worker's jobs reuse it without the manager holding any.
+// Concurrency is bounded at two levels. The manager's K workers bound
+// how many jobs are in flight. Each job runs its core call with its
+// request's Workers (0 = GOMAXPROCS), and the core bounds CPU for the
+// whole process: every frame task of every call holds one of GOMAXPROCS
+// frame slots, handed out in arrival order, and borrows its scratch only
+// while it does. So a lone job decodes on every idle core, K busy jobs
+// share the same slots instead of stacking per-call pools, and the
+// manager holds no core state.
 package jobs
 
 import (
@@ -23,6 +25,7 @@ import (
 	"io"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,8 +74,9 @@ var (
 	ErrQueueFull = errors.New("jobs: queue full")
 	// ErrDraining is returned by Submit after Drain has begun.
 	ErrDraining = errors.New("jobs: manager draining")
-	// ErrPanicked wraps the recovered value of a job that panicked; the
-	// stack is preserved in the job's snapshot.
+	// ErrPanicked wraps the first line of the recovered value of a job
+	// that panicked; the whole value and the stack are preserved in the
+	// job's snapshot.
 	ErrPanicked = errors.New("jobs: job panicked")
 	// ErrUnknownJob is returned for an ID the manager has never issued.
 	ErrUnknownJob = errors.New("jobs: unknown job")
@@ -136,7 +140,7 @@ type Snapshot struct {
 	Attempts int    `json:"attempts"`
 	Retries  int    `json:"retries"`
 	Err      string `json:"err,omitempty"`
-	Panic    string `json:"panic,omitempty"` // captured stack, if the job panicked
+	Panic    string `json:"panic,omitempty"` // panic value and stacks, if the job panicked
 
 	SubmittedAt time.Time `json:"submitted_at"`
 	StartedAt   time.Time `json:"started_at,omitempty"`
@@ -149,8 +153,10 @@ type Snapshot struct {
 
 // Config sizes a Manager.
 type Config struct {
-	// Workers is the shared pool size (defaults to 2). Each worker runs
-	// one job at a time with core parallelism 1.
+	// Workers is how many jobs run at once (defaults to 2): each worker
+	// runs one job at a time. A job's own parallelism is its request's
+	// Workers option, and the core caps all jobs together at GOMAXPROCS
+	// running frame tasks.
 	Workers int
 	// QueueDepth bounds admitted-but-unstarted jobs (defaults to 16).
 	// Submit sheds load with ErrQueueFull beyond it.
@@ -546,15 +552,19 @@ func (m *Manager) backoff(ctx context.Context, attempt int) bool {
 
 // attempt runs one try of the job's operation, isolating panics: a
 // panicking job returns ErrPanicked with the stack captured instead of
-// unwinding into the worker loop.
+// unwinding into the worker loop. A panic on a goroutine that a core call
+// started reaches here too: the call re-raises it on this goroutine with
+// a value whose message carries the panicking goroutine's stack.
 func (m *Manager) attempt(j *job) (res Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
+			msg := fmt.Sprint(r)
 			j.mu.Lock()
-			j.panicStack = string(debug.Stack())
+			j.panicStack = msg + "\n\n" + string(debug.Stack())
 			j.mu.Unlock()
+			first, _, _ := strings.Cut(msg, "\n")
 			res = Result{}
-			err = fmt.Errorf("%w: %v", ErrPanicked, r)
+			err = fmt.Errorf("%w: %s", ErrPanicked, first)
 		}
 	}()
 
@@ -589,7 +599,9 @@ func (m *Manager) attempt(j *job) (res Result, err error) {
 
 // run performs the job's operation once, writing restore and salvage
 // output to out (nil: an in-memory buffer returned in Result.Data). Every
-// operation runs with core parallelism 1.
+// operation runs with its request's Workers (0 = GOMAXPROCS): the core's
+// frame slots, not the job, bound how many frames decode or encode at
+// once across all jobs, so a job alone on the manager uses every core.
 func run(j *job, out io.Writer) (Result, error) {
 	var buf *bytes.Buffer
 	if out == nil {
@@ -604,7 +616,7 @@ func run(j *job, out io.Writer) (Result, error) {
 		return buf.Bytes()
 	}
 	ro := j.req.RestoreOptions
-	ro.Workers, ro.Context = 1, j.ctx
+	ro.Context = j.ctx
 
 	switch j.req.Kind {
 	case KindArchive:
@@ -614,7 +626,7 @@ func run(j *job, out io.Writer) (Result, error) {
 		}
 		defer closeIfCloser(r)
 		opts := j.req.ArchiveOptions
-		opts.Workers, opts.Context = 1, j.ctx
+		opts.Context = j.ctx
 		arch, err := core.CreateArchiveStream(r, opts)
 		if err != nil {
 			return Result{}, err
@@ -653,7 +665,7 @@ func run(j *job, out io.Writer) (Result, error) {
 
 	case KindSalvage:
 		so := j.req.SalvageOptions
-		so.Workers, so.Context = 1, j.ctx
+		so.Context = j.ctx
 		rep, err := core.SalvageTo(sink, j.req.Sheets, so)
 		if err != nil {
 			return Result{}, err

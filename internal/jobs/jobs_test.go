@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -51,7 +52,7 @@ var (
 	fixErr  error
 )
 
-func fixture(t *testing.T) (*core.Archived, []byte) {
+func fixture(t testing.TB) (*core.Archived, []byte) {
 	t.Helper()
 	fixOnce.Do(func() {
 		prof := tinyProfile()
@@ -393,6 +394,96 @@ func TestPanicIsolation(t *testing.T) {
 	}
 	if _, snap, err := m.Wait(context.Background(), id); err != nil || snap.State != StateSucceeded {
 		t.Fatalf("worker did not survive the panic: state %s err %v", snap.State, err)
+	}
+}
+
+// panickingWriter is a restore sink whose Write panics.
+type panickingWriter struct{}
+
+func (panickingWriter) Write([]byte) (int, error) { panic("injected sink panic") }
+
+// panickingReader is a sized archive source (Len, so the raw planner
+// reads it on its own goroutine) whose Read panics.
+type panickingReader struct{}
+
+func (panickingReader) Len() int                 { return 30000 }
+func (panickingReader) Read([]byte) (int, error) { panic("injected source panic") }
+
+// TestPanicOnCoreGoroutines: a panic on a goroutine that a core call
+// started — the restore executor's consumer writing to the sink, the
+// archive planner reading the source — fails its job with ErrPanicked
+// instead of crashing the process. The snapshot names the panicking
+// method, and the next job on the same manager succeeds.
+func TestPanicOnCoreGoroutines(t *testing.T) {
+	raw := core.DefaultOptions(tinyProfile())
+	raw.Compress = false // raw restores write each group from the consumer goroutine
+	data := testPayload(20000)
+	rawArch, err := core.CreateArchive(data, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rawArch.Volume.SetScanner(media.Distortions{}) // CI repeats this test under race
+	for _, c := range []struct {
+		name, method string
+		req          Request
+	}{
+		{"restore-sink-write", "panickingWriter.Write", Request{
+			Kind: KindRestore, Volume: rawArch.Volume, BootstrapText: rawArch.BootstrapText,
+			RestoreOptions: core.RestoreOptions{Mode: core.RestoreNative},
+			Sink:           func(context.Context) (io.Writer, error) { return panickingWriter{}, nil },
+		}},
+		{"archive-source-read", "panickingReader.Read", Request{
+			Kind:           KindArchive,
+			Source:         func(context.Context) (io.Reader, error) { return panickingReader{}, nil },
+			ArchiveOptions: raw,
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m := newManager(t, Config{Workers: 1})
+			defer drain(t, m)
+			id, err := m.Submit(c.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, snap, err := m.Wait(context.Background(), id)
+			if snap.State != StateFailed || !errors.Is(err, ErrPanicked) {
+				t.Fatalf("state %s err %v, want failed with ErrPanicked", snap.State, err)
+			}
+			if !strings.Contains(snap.Panic, c.method) {
+				t.Fatalf("snapshot panic does not name %s:\n%s", c.method, snap.Panic)
+			}
+			id, err = m.Submit(restoreReq(rawArch))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, snap, err := m.Wait(context.Background(), id)
+			if err != nil || snap.State != StateSucceeded || !bytes.Equal(res.Data, data) {
+				t.Fatalf("next job after the panic: state %s err %v", snap.State, err)
+			}
+		})
+	}
+}
+
+// BenchmarkManagerRestore: one fixture restore submitted to an idle
+// 2-worker manager and waited for. The job runs at its request's Workers
+// (0 = GOMAXPROCS), so at -cpu 1,2 it should scale like a direct call.
+func BenchmarkManagerRestore(b *testing.B) {
+	arch, data := fixture(b)
+	m, err := New(Config{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Drain(context.Background())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		id, err := m.Submit(restoreReq(arch))
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, _, err := m.Wait(context.Background(), id)
+		if err != nil || !bytes.Equal(res.Data, data) {
+			b.Fatalf("restore job: %v", err)
+		}
 	}
 }
 
