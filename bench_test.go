@@ -1206,12 +1206,13 @@ func BenchmarkP7RestoreScan(b *testing.B) {
 // ---- P9: indexed selective restore ------------------------------------
 
 // BenchmarkP9Range prices the selective-restore index (BENCH_range.json
-// records the committed numbers): one TPC-H table restored from a
-// ~100-sheet indexed volume against the full restore of the same volume.
-// The table query probes one index emblem, decodes only the outer-code
-// groups the table's restart blocks overlap, and must touch fewer than
-// 5% of the volume's frames — asserted here, so the CI bench smoke is
-// also the regression gate for the headline ratio.
+// records the committed numbers): one TPC-H table and one 4 KB range
+// restored from a ~100-sheet indexed volume against the full restore of
+// the same volume. Each query probes one index emblem, decodes only the
+// data frames its restart blocks occupy, and must touch fewer than 5% of
+// the volume's frames without falling back to a full restore — asserted
+// here, so the CI bench smoke is also the regression gate for the
+// headline ratio.
 func BenchmarkP9Range(b *testing.B) {
 	// A mid-size frame: large enough that the index emblem carries a
 	// fine-grained restart-block table next to the full section table,
@@ -1298,8 +1299,17 @@ func BenchmarkP9Range(b *testing.B) {
 			}
 			st = s
 		}
+		if st.IndexFallbacks != 0 {
+			b.Fatalf("range query fell back to a full restore: %+v", st)
+		}
+		ratio := 100 * float64(st.FramesScanned) / float64(total)
+		if ratio >= 5 {
+			b.Fatalf("range query touched %.1f%% of frames (%d of %d), want <5%%",
+				ratio, st.FramesScanned, total)
+		}
 		b.ReportMetric(float64(st.FramesScanned), "frames-scanned")
-		b.ReportMetric(100*float64(st.FramesScanned)/float64(total), "frames-touched-%")
+		b.ReportMetric(float64(st.FramesSkipped), "frames-skipped")
+		b.ReportMetric(ratio, "frames-touched-%")
 	})
 
 	b.Run("full", func(b *testing.B) {

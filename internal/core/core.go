@@ -103,20 +103,20 @@ type Options struct {
 	// Index reserves one more frame per sheet for a selective-restore
 	// index emblem (internal/archindex) mapping logical archive bytes to
 	// physical volume extents: RestoreRange and RestoreTable consult it to
-	// scan and decode only the groups a query touches. Compressed archives
-	// switch to the DBS1 seekable container (independently decodable
-	// restart blocks) so a byte range can be decompressed without the rest
-	// of the stream. Off by default — index-free volumes stay
-	// byte-identical to previous releases. The index slot counts against
-	// SheetFrames like the catalog slot.
+	// scan and decode only the data frames a query's bytes occupy.
+	// Compressed archives switch to the DBS1 seekable container
+	// (independently decodable restart blocks) so a byte range can be
+	// decompressed without the rest of the stream. Off by default —
+	// index-free volumes stay byte-identical to previous releases. The
+	// index slot counts against SheetFrames like the catalog slot.
 	Index bool
 
 	// IndexBlockBytes sets the DBS1 restart-block size for indexed
 	// compressed archives. 0 selects one group's worth of payload bytes
 	// (GroupData × frame capacity), widened when needed so the block
 	// table still fits a single index frame next to the section table.
-	// Smaller blocks tighten the set of groups a range query must
-	// decode; larger blocks compress better.
+	// Smaller blocks tighten the set of frames a range query must scan
+	// and decode; larger blocks compress better.
 	IndexBlockBytes int
 
 	// Context, when non-nil, cancels the archive pipeline: planning stops
@@ -206,13 +206,16 @@ type SheetReport struct {
 }
 
 // GroupReport is one outer-code group's slice of RestoreStats, in group
-// order.
+// order. A full restore reads every group whole; a query reads a group
+// only at the data frames its bytes occupy, and whole when one of those
+// fails, so Frames and Missing count the frames the restore scanned from
+// the group.
 type GroupReport struct {
 	ID         int    // header GroupID
 	Sheet      int    // sheet holding the group (groups never straddle)
 	Kind       string // data, system, parity... the group's section kind
-	Frames     int    // data + parity frames
-	Missing    int    // frames the outer code had to supply
+	Frames     int    // frames scanned: data + parity, or a query's data frames when all decoded
+	Missing    int    // of those, frames the outer code had to supply
 	Recovered  bool   // outer code ran and succeeded
 	Lost       bool   // beyond parity; zero-filled (Partial mode only)
 	Verified   bool   // data matched the catalog's group checksum
@@ -239,13 +242,15 @@ type RestoreStats struct {
 	GroupsMismatched int
 
 	// Selective-restore tallies (RestoreRange/RestoreTable/ListIndex).
-	// FramesSkipped counts volume frames the query never scanned —
-	// FramesScanned + FramesSkipped equals the volume's frame count on a
-	// successful indexed query. GroupsDecoded counts outer-code groups the
-	// query assembled. IndexFrames counts index emblems consumed (full
-	// restores also tally the ones they pass over). IndexFallbacks counts
-	// queries that fell back to a full restore because no usable index was
-	// readable.
+	// A query scans its index probes and the data frames its bytes
+	// occupy, plus the rest of any group one of those fails in — each
+	// frame at most once. FramesSkipped counts volume frames the query
+	// never scanned — FramesScanned + FramesSkipped equals the volume's
+	// frame count on a successful indexed query. GroupsDecoded counts
+	// outer-code groups the query assembled, whole or in part.
+	// IndexFrames counts index emblems consumed (full restores also tally
+	// the ones they pass over). IndexFallbacks counts queries that fell
+	// back to a full restore because no usable index was readable.
 	FramesSkipped  int
 	GroupsDecoded  int
 	IndexFrames    int

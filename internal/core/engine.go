@@ -15,15 +15,15 @@ import (
 
 // frameAddr is one entry of a frame plan: the sheet to scan and the slot
 // on it. A full restore plans every frame of the volume, a query only the
-// frames of the groups it selects, an index probe one reserved slot, and
-// salvage every frame of the bag.
+// data frames its span occupies (and the rest of a group it must recover),
+// an index probe one reserved slot, and salvage every frame of the bag.
 type frameAddr struct {
 	sheet, slot int
 }
 
 // volumePlan lists v's sheets and plans every frame in global index order:
 // plan[i] addresses global frame i. It is the full restore's plan, and the
-// address table queries pick their selected groups' frames from.
+// address table queries pick their planned frames from.
 func volumePlan(v *media.Volume) ([]*media.Medium, []frameAddr) {
 	sheets := make([]*media.Medium, v.Sheets())
 	var plan []frameAddr

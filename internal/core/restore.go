@@ -187,10 +187,14 @@ func (s *kindSink) write(b []byte) (int, error) {
 // header claims is a wholly-lost range (a destroyed carrier): fatal
 // normally, counted and zero-filled in Partial mode.
 //
-// A query plans only the groups it selects, so it hands the assembler
-// their extents instead: each planned group opens at its first planned
-// frame whether or not that frame decodes, and a group with no decodable
-// frame is lost on its own rather than merged into a run.
+// A query runs the assembler in planned mode instead: it selects its
+// groups from their extents (selectGroup), each to be read only at the
+// data positions it needs, and the plan, not the headers, places every
+// frame. A group whose planned frames all decode closes from them alone;
+// a failed planned frame sends its group to a second executor run over
+// its remaining frames (round), after which it is recovered or lost like
+// any group read whole. The groups close in group order once the rounds
+// are done (closePlanned).
 type assembler struct {
 	st       *RestoreStats
 	capacity int
@@ -204,23 +208,14 @@ type assembler struct {
 	sums     []catalog.GroupSum
 	zeros    []byte
 
-	// planned, when non-nil, lists a query's selected groups in plan
-	// order; nextPlanned is the next one to open.
-	planned     []groupExtent
-	nextPlanned int
+	// planned, when non-nil, lists a query's selected groups in group
+	// order; placed[k] names frame k of the current round.
+	planned []*openGroup
+	placed  []placedFrame
 
-	cur struct {
-		known   bool
-		id      int
-		start   int
-		data    int
-		parity  int
-		kind    emblem.Kind // from data members; 0 if only parity decoded
-		total   uint32
-		members map[int][]byte
-	}
-	runStart, runLen int // consumed failed frames no group has claimed
-	lastClosed       int // group id of the last closed group (-1 initially)
+	cur              *openGroup // the group being assembled; nil between groups
+	runStart, runLen int        // consumed failed frames no group has claimed
+	lastClosed       int        // group id of the last closed group (-1 initially)
 	decoded          int
 
 	// pendingZeroFrames is Partial-mode fill owed before the next group
@@ -229,6 +224,25 @@ type assembler struct {
 	// group reveals the section — the fill happens in closeGroup, ahead
 	// of that group's own bytes, so output offsets hold.
 	pendingZeroFrames int
+}
+
+// openGroup is one outer-code group under assembly. A full restore learns
+// its shape from the headers, and its kind from a data member (0 while
+// only parity has decoded); a query takes both from the group's extent.
+type openGroup struct {
+	groupExtent
+	start   int    // full restore: index of the group's first frame
+	total   uint32 // section TotalLen from the data members' headers
+	members map[int][]byte
+	frames  int // frames reported: data+parity, or those a query scanned from the group
+	lo, hi  int // data positions the group writes: [0, data) unless a query reads it in part
+}
+
+// placedFrame is one frame of a query's round: its group and its
+// position in that group.
+type placedFrame struct {
+	g   *openGroup
+	pos int
 }
 
 func newAssembler(st *RestoreStats, out io.Writer, capacity int, partial bool) *assembler {
@@ -260,12 +274,22 @@ func (a *assembler) consume(i int, res *frameResult) error {
 		sh.FramesFailed++
 	}
 
+	if a.planned != nil {
+		// A query's plan places the frame; one that failed, or decoded
+		// somewhere else, is missing from its group.
+		f := a.placed[i]
+		f.g.frames++
+		if ok {
+			a.keep(f.g, f.pos, res, sh)
+		}
+		return nil
+	}
+
 	// Catalog and index frames are out-of-band: they belong to no
 	// outer-code group, so they never open, join or close one. A frame
 	// that failed to decode falls through to the ordinary failed-frame
-	// path — the loss arithmetic discounts reserved slots. A query plans
-	// group frames only; there such a header is a misplaced frame.
-	if ok && a.planned == nil {
+	// path — the loss arithmetic discounts reserved slots.
+	if ok {
 		switch res.hdr.Kind {
 		case emblem.KindCatalog:
 			// The first readable catalog supplies the per-group checksums
@@ -285,12 +309,7 @@ func (a *assembler) consume(i int, res *frameResult) error {
 		}
 	}
 
-	if !a.cur.known && a.nextPlanned < len(a.planned) {
-		g := a.planned[a.nextPlanned]
-		a.nextPlanned++
-		a.open(i, g.id, g.data, g.parity, g.kind)
-	}
-	if !a.cur.known {
+	if a.cur == nil {
 		if !ok {
 			if a.runLen == 0 {
 				a.runStart = i
@@ -323,76 +342,131 @@ func (a *assembler) consume(i int, res *frameResult) error {
 			// closeGroup counts them as size - len(members).
 			a.runLen = 0
 		}
-		a.open(start, int(res.hdr.GroupID), int(res.hdr.GroupData), int(res.hdr.GroupParity), 0)
+		a.open(start, int(res.hdr.GroupID), int(res.hdr.GroupData), int(res.hdr.GroupParity))
 	}
 
-	if ok {
-		pos := i - a.cur.start
-		if int(res.hdr.GroupID) != a.cur.id || int(res.hdr.GroupPos) != pos {
-			// Header disagrees with the group's placement: the frame
-			// decoded but contributes nothing — count it failed so the
-			// loss arithmetic stays consistent.
-			a.st.FramesFailed++
-			sh.FramesFailed++
-		} else {
-			padded := make([]byte, a.capacity)
-			copy(padded, res.payload)
-			a.cur.members[pos] = padded
-			// A data member reveals the section; a planned group's extent
-			// already fixed it.
-			if res.hdr.Kind != emblem.KindParity && a.planned == nil {
-				a.cur.kind = res.hdr.Kind
-				a.cur.total = res.hdr.TotalLen
-			}
-		}
+	// A data member reveals the section.
+	if ok && a.keep(a.cur, i-a.cur.start, res, sh) && res.hdr.Kind != emblem.KindParity {
+		a.cur.kind = res.hdr.Kind
+		a.cur.total = res.hdr.TotalLen
 	}
-	if i == a.cur.start+a.cur.data+a.cur.parity-1 {
+	if i == a.cur.start+a.cur.size()-1 {
 		return a.closeGroup()
 	}
 	return nil
 }
 
-// open starts the group whose data+parity frames begin at index start.
-func (a *assembler) open(start, id, data, parity int, kind emblem.Kind) {
-	a.cur.known = true
-	a.cur.id, a.cur.start, a.cur.data, a.cur.parity = id, start, data, parity
-	a.cur.kind, a.cur.total = kind, 0
-	a.cur.members = map[int][]byte{}
+// keep stores a decoded frame as member pos of group g. A frame whose
+// header disagrees with that placement decoded but contributes nothing:
+// it counts failed, so the loss arithmetic stays consistent.
+func (a *assembler) keep(g *openGroup, pos int, res *frameResult, sh *SheetReport) bool {
+	if int(res.hdr.GroupID) != g.id || int(res.hdr.GroupPos) != pos {
+		a.st.FramesFailed++
+		sh.FramesFailed++
+		return false
+	}
+	padded := make([]byte, a.capacity)
+	copy(padded, res.payload)
+	g.members[pos] = padded
+	return true
 }
 
-// closeGroup recovers and flushes the current group the moment its last
-// frame index has been consumed.
+// open starts the group whose data+parity frames begin at index start.
+func (a *assembler) open(start, id, data, parity int) {
+	a.cur = &openGroup{
+		groupExtent: groupExtent{id: id, data: data, parity: parity, sheet: a.sheetOf[start]},
+		start:       start,
+		members:     map[int][]byte{},
+		frames:      data + parity,
+		hi:          data,
+	}
+}
+
+// selectGroup adds group g to a query's plan, to be read at its data
+// positions [lo, hi) — and read whole if one of them is missing.
+func (a *assembler) selectGroup(g groupExtent, lo, hi int) *openGroup {
+	og := &openGroup{groupExtent: g, members: map[int][]byte{}, lo: lo, hi: hi}
+	a.planned = append(a.planned, og)
+	return og
+}
+
+// round plans a query's next executor run over all, the volume's frame
+// addresses, and points the assembler at it: first every selected group's
+// planned positions, then the remaining frames — other data positions and
+// parity — of every group a planned frame is missing from, which from then
+// on writes whole. The plan is empty once nothing is left to read, so a
+// query runs one round, or two when a planned frame fails.
+func (a *assembler) round(all []frameAddr) []frameAddr {
+	var plan []frameAddr
+	a.placed, a.sheetOf = a.placed[:0], a.sheetOf[:0]
+	read := func(g *openGroup, pos int) {
+		plan = append(plan, all[g.scanStart+pos])
+		a.placed = append(a.placed, placedFrame{g, pos})
+		a.sheetOf = append(a.sheetOf, g.sheet)
+	}
+	for _, g := range a.planned {
+		switch {
+		case g.frames == 0:
+			for pos := g.lo; pos < g.hi; pos++ {
+				read(g, pos)
+			}
+		case len(g.members) < g.frames && g.frames < g.size():
+			for pos := 0; pos < g.size(); pos++ {
+				if pos < g.lo || pos >= g.hi {
+					read(g, pos)
+				}
+			}
+			g.lo, g.hi = 0, g.data
+		}
+	}
+	return plan
+}
+
+// closePlanned closes a query's groups in group order once its rounds are
+// done: a group read in part writes its planned positions, a group read
+// whole is recovered, or lost, as in a full restore.
+func (a *assembler) closePlanned() error {
+	for _, g := range a.planned {
+		a.cur = g
+		if err := a.closeGroup(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// closeGroup recovers and flushes the current group: in a full restore the
+// moment its last frame index has been consumed, in a query once its
+// rounds are done.
 func (a *assembler) closeGroup() error {
-	size := a.cur.data + a.cur.parity
-	sheet := a.sheetOf[a.cur.start]
-	sh := &a.st.Sheets[sheet]
+	g := a.cur
+	sh := &a.st.Sheets[g.sheet]
 	sh.Groups++
-	missing := size - len(a.cur.members)
-	rep := GroupReport{ID: a.cur.id, Sheet: sheet, Frames: size, Missing: missing}
+	missing := g.frames - len(g.members)
+	rep := GroupReport{ID: g.id, Sheet: g.sheet, Frames: g.frames, Missing: missing}
 	defer func() {
 		a.st.Groups = append(a.st.Groups, rep)
-		a.lastClosed = a.cur.id
-		a.cur.known = false
-		a.cur.members = nil
+		a.lastClosed = g.id
+		a.cur = nil
 	}()
 
-	if a.cur.kind == 0 {
+	if g.kind == 0 {
 		// Only parity members decoded: the section kind and stream totals
 		// are unknowable, so the group's bytes cannot be recovered — in
 		// Partial mode its data frames still owe zero-fill so later
 		// groups keep their offsets.
 		if !a.partial {
-			return fmt.Errorf("%w: group %d has no readable data emblems", ErrRestore, a.cur.id)
+			return fmt.Errorf("%w: group %d has no readable data emblems", ErrRestore, g.id)
 		}
 		rep.Lost = true
 		a.st.GroupsLost++
 		sh.GroupsLost++
-		return a.fillLost(a.cur.data)
+		return a.fillLost(g.data)
 	}
-	rep.Kind = a.cur.kind.String()
-	sink := a.sink(a.cur.kind)
+	rep.Kind = g.kind.String()
+	sink := a.sink(g.kind)
 	if sink.total < 0 {
-		sink.total = int(a.cur.total)
+		sink.total = int(g.total)
 	}
 	// Fill owed for losses that preceded this section's first surviving
 	// group, before this group's own bytes.
@@ -400,21 +474,21 @@ func (a *assembler) closeGroup() error {
 		return err
 	}
 
-	full := make([][]byte, size)
-	for pos, p := range a.cur.members {
+	full := make([][]byte, g.size())
+	for pos, p := range g.members {
 		full[pos] = p
 	}
 	if missing > 0 {
 		if err := mocoder.RecoverGroup(full); err != nil {
 			if !a.partial {
-				return fmt.Errorf("%w: group %d: %w", ErrRestore, a.cur.id, err)
+				return fmt.Errorf("%w: group %d: %w", ErrRestore, g.id, err)
 			}
 			// Beyond parity: zero-fill the group's data bytes so every
 			// later group's output offset stays where the archive put it.
 			rep.Lost = true
 			a.st.GroupsLost++
 			sh.GroupsLost++
-			return a.zeroFill(sink, a.cur.data)
+			return a.zeroFill(sink, g.hi-g.lo)
 		}
 		rep.Recovered = true
 		a.st.GroupsRecovered++
@@ -425,19 +499,19 @@ func (a *assembler) closeGroup() error {
 	// what was archived (silent corruption the outer code missed): fatal
 	// normally, counted — and still written, they are the best available —
 	// in Partial mode.
-	if a.cur.id < len(a.sums) {
-		if catalog.GroupCRC(full[:a.cur.data]) == a.sums[a.cur.id].CRC {
+	if g.id < len(a.sums) {
+		if catalog.GroupCRC(full[:g.data]) == a.sums[g.id].CRC {
 			rep.Verified = true
 			a.st.GroupsVerified++
 		} else {
 			if !a.partial {
-				return fmt.Errorf("%w: group %d contradicts its catalog checksum", ErrRestore, a.cur.id)
+				return fmt.Errorf("%w: group %d contradicts its catalog checksum", ErrRestore, g.id)
 			}
 			rep.Mismatched = true
 			a.st.GroupsMismatched++
 		}
 	}
-	for pos := 0; pos < a.cur.data; pos++ {
+	for pos := g.lo; pos < g.hi; pos++ {
 		if _, err := sink.write(full[pos]); err != nil {
 			return err
 		}
@@ -560,7 +634,7 @@ func (a *assembler) zeroFill(s *kindSink, n int) error {
 
 // finish closes the books once every frame has been consumed.
 func (a *assembler) finish() error {
-	if a.cur.known {
+	if a.cur != nil {
 		// The volume ended inside a group's claimed range (truncated
 		// carrier); close it with what decoded.
 		if err := a.closeGroup(); err != nil {

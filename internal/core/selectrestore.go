@@ -19,7 +19,7 @@ import (
 )
 
 // Selective restore: indexed range and table queries that decode only the
-// groups a query touches.
+// data frames a query's bytes occupy.
 //
 //	probe:    read one sheet's reserved index emblem (internal/archindex) —
 //	          the logical→physical map every sheet carries
@@ -29,9 +29,11 @@ import (
 //	          extent; map the requested raw range onto the archived stream
 //	          (directly for raw archives, through the DBS1 restart-block
 //	          table for compressed ones)
-//	decode:   plan only the overlapping groups' frames for the restore
-//	          executor — whole sheets outside the query are never scanned —
-//	          and assemble them through the full restore's assembler
+//	decode:   plan, in each overlapping group, only the data frames the
+//	          stream span occupies for the restore executor — parity and
+//	          whole sheets outside the query are never scanned — and
+//	          assemble them through the full restore's assembler; a group
+//	          with a failed planned frame is read whole in a second run
 //	finish:   decompress only the overlapping restart blocks and trim to
 //	          the exact byte range
 //
@@ -49,9 +51,10 @@ import (
 var errIndexMiss = errors.New("core: the index cannot answer the query")
 
 // RestoreRange restores exactly bytes [off, off+length) of the original
-// archive from an indexed volume, scanning only the frames the range
-// touches. The bytes are identical to the same slice of a full Restore.
-// Volumes without a usable index fall back to a full restore.
+// archive from an indexed volume, scanning only the data frames the range
+// occupies (and the rest of a group only to recover it). The bytes are
+// identical to the same slice of a full Restore. Volumes without a usable
+// index fall back to a full restore.
 func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
 	if off < 0 || length < 0 {
 		return nil, nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
@@ -118,7 +121,7 @@ func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archi
 
 // query answers a range or section query: resolve maps the volume's index
 // to the query's raw byte extent, and selectiveRange decodes only the
-// groups that extent touches. When the index cannot answer — none is
+// data frames that extent occupies. When the index cannot answer — none is
 // readable, resolve or the geometry reports errIndexMiss — the query
 // falls back to a full restore and locate finds the answer in the
 // restored bytes, so a query never fails where a full restore would
@@ -280,9 +283,10 @@ func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExt
 }
 
 // selectiveRange restores raw bytes [off, off+length) through the index:
-// it selects the minimal closed set of groups, plans only their frames,
-// assembles them through the full restore's assembler — each group opened
-// from its extent — and decompresses only the overlapping restart blocks.
+// it selects the minimal closed set of groups, plans only the data frames
+// the stream span occupies, assembles them through the full restore's
+// assembler — reading a group whole only to recover it — and decompresses
+// only the overlapping restart blocks.
 func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, st *RestoreStats) ([]byte, error) {
 	capacity := mocoder.Capacity(doc.Layout)
 	geo, err := planGeometry(x, capacity, v)
@@ -326,24 +330,26 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	}
 
 	// The minimal closed set of groups: target-kind groups overlapping the
-	// stream span, plus — under emulation — every system group (the
-	// archived DBDecode program must be whole to run at all). Only their
-	// frames are planned; every other frame of the volume is skipped
-	// without a single scan.
-	var sel []groupExtent
-	firstOff := -1 // stream offset of the first selected target-kind group
+	// stream span, each planned at the data positions whose chunks overlap
+	// the span, plus — under emulation — every system group at all its
+	// data positions (the archived DBDecode program must be whole to run
+	// at all). Parity and every other frame of the volume is skipped
+	// without a single scan, unless a planned frame fails.
+	asm := newAssembler(st, nil, capacity, ro.Partial)
+	var first *openGroup // the first selected target-kind group
 	for _, g := range geo {
 		switch {
 		case g.kind == kind && g.secOff < spanOff+spanLen && spanOff < g.secOff+g.secLen:
-			if firstOff < 0 {
-				firstOff = g.secOff
+			lo := max(spanOff-g.secOff, 0) / capacity
+			hi := min((spanOff+spanLen-g.secOff+capacity-1)/capacity, g.data)
+			if og := asm.selectGroup(g, lo, hi); first == nil {
+				first = og
 			}
-			sel = append(sel, g)
 		case g.kind == emblem.KindSystem && ro.Mode != RestoreNative:
-			sel = append(sel, g)
+			asm.selectGroup(g, 0, g.data)
 		}
 	}
-	if firstOff < 0 || firstOff > spanOff {
+	if first == nil || first.secOff+first.lo*capacity > spanOff {
 		return nil, errIndexMiss
 	}
 	dec, err := newFrameDecoder(doc, ro.Mode)
@@ -351,25 +357,21 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 		return nil, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
 	}
 	sheets, all := volumePlan(v)
-	var plan []frameAddr
-	for _, g := range sel {
-		plan = append(plan, all[g.scanStart:g.scanStart+g.size()]...)
+	for plan := asm.round(all); len(plan) > 0; plan = asm.round(all) {
+		if err := decodeFrames(ctx, ro.Workers, sheets, plan, dec, asm.consume); err != nil {
+			return nil, err
+		}
 	}
 
-	// The target section's sink starts at the first selected group's
-	// stream offset, so trimming at the section's TotalLen stays exact — a
+	// The target section's sink starts at the first selected group's first
+	// written chunk, so trimming at the section's TotalLen stays exact — a
 	// lost group (Partial mode) zero-fills exactly its stream extent, which
 	// is what the full restore's trimmed sink writes.
 	var span, sys bytes.Buffer
-	asm := newAssembler(st, nil, capacity, ro.Partial)
-	asm.planned = sel
+	firstOff := first.secOff + first.lo*capacity
 	asm.sinks[kind] = &kindSink{w: &span, total: total, written: firstOff}
 	asm.sinks[emblem.KindSystem] = &kindSink{w: &sys, total: x.SystemLen}
-	asm.sheetOf = make([]int, len(plan))
-	for k, a := range plan {
-		asm.sheetOf[k] = a.sheet
-	}
-	err = decodeFrames(ctx, ro.Workers, sheets, plan, dec, asm.consume)
+	err = asm.closePlanned()
 	st.GroupsDecoded = len(st.Groups)
 	if err != nil {
 		return nil, err

@@ -7,12 +7,19 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"microlonys/internal/archindex"
+	"microlonys/internal/dbcoder"
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
 	"microlonys/internal/sqldump"
@@ -400,7 +407,8 @@ func TestRestoreIndexedVolumeFull(t *testing.T) {
 
 // TestRestoreRangeDynaRisc: a range query under emulation runs the
 // archived DBDecode program over only the overlapping restart blocks and
-// still matches the input slice.
+// still matches the input slice. It scans the index probe, the span's
+// data frames and the data frames of every system group — no parity.
 func TestRestoreRangeDynaRisc(t *testing.T) {
 	arch, data := indexedArchive(t, true)
 	got, st, err := RestoreRange(arch.Volume, arch.BootstrapText, 64, 512,
@@ -413,6 +421,17 @@ func TestRestoreRangeDynaRisc(t *testing.T) {
 	}
 	if st.FramesSkipped == 0 {
 		t.Fatalf("emulated query skipped nothing: %+v", st)
+	}
+	x, _, err := ListIndex(arch.Volume, arch.BootstrapText, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capacity := mocoder.Capacity(arch.Options.Profile.Layout)
+	first, last := spanChunks(x, capacity, 64, 512)
+	system := max((x.SystemLen+capacity-1)/capacity, 1)
+	if want := 1 + last - first + 1 + system; st.FramesScanned != want {
+		t.Fatalf("scanned %d frames, want the probe + %d span + %d system data frames: %+v",
+			st.FramesScanned, last-first+1, system, st)
 	}
 }
 
@@ -462,5 +481,306 @@ func TestEngineRangeMatchesOneShot(t *testing.T) {
 		if !reflect.DeepEqual(st, wantSt) {
 			t.Fatalf("trial %d: stats diverged: %+v vs %+v", trial, st, wantSt)
 		}
+	}
+}
+
+// Frame-granular queries: a query scans the index probe plus the data
+// frames its stream span overlaps, and a group's other frames only when a
+// planned frame fails. These tests run their repeated queries on a
+// pre-scanned copy (prescan) and compare one scanner-included query with
+// it, so the scanner runs once per frame; CI repeats them under the race
+// detector, so the clean fixtures are built once per test binary.
+
+// prescan returns v as its scanner reads it: Reprint renders every frame
+// through v's scanner once, and the copy scans distortion-free. tinyProfile
+// has no writer distortion or bitonal quantisation and scans at frame
+// size, so the copy's scans are the pixels v's scanner produces.
+func prescan(t testing.TB, v *media.Volume) *media.Volume {
+	t.Helper()
+	pre, err := v.Reprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre.SetScanner(media.Distortions{})
+	return pre
+}
+
+// frameFixture is an indexedArchive fixture with its pre-scanned copy,
+// its index and its frame capacity.
+type frameFixture struct {
+	arch     *Archived
+	data     []byte
+	pre      *media.Volume
+	x        *archindex.Index
+	capacity int
+}
+
+var frameFixtures struct {
+	sync.Mutex
+	clean map[bool]*frameFixture // by compress
+}
+
+// cleanFixture returns the clean compressed or raw fixture, built on
+// first use. Callers must not damage it; see damaged.
+func cleanFixture(t *testing.T, compress bool) *frameFixture {
+	t.Helper()
+	frameFixtures.Lock()
+	defer frameFixtures.Unlock()
+	if f := frameFixtures.clean[compress]; f != nil {
+		return f
+	}
+	arch, data := indexedArchive(t, compress)
+	pre := prescan(t, arch.Volume)
+	x, _, err := ListIndex(pre, arch.BootstrapText, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &frameFixture{arch: arch, data: data, pre: pre, x: x, capacity: mocoder.Capacity(arch.Options.Profile.Layout)}
+	if frameFixtures.clean == nil {
+		frameFixtures.clean = map[bool]*frameFixture{}
+	}
+	frameFixtures.clean[compress] = f
+	return f
+}
+
+// damaged returns a copy of f with frames locals of sheet destroyed,
+// pre-scanned after the damage.
+func (f *frameFixture) damaged(t *testing.T, sheet int, locals ...int) *frameFixture {
+	t.Helper()
+	arch := *f.arch
+	arch.Volume = f.arch.Volume.Clone()
+	for _, local := range locals {
+		if err := arch.Volume.Destroy(sheet, local); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := *f
+	d.arch, d.pre = &arch, prescan(t, arch.Volume)
+	return &d
+}
+
+// spanChunks returns the first and last capacity-sized stream chunks a
+// query of raw bytes [off, off+length) must read, computed from the
+// index alone: the restart blocks the bytes overlap on a compressed
+// volume, the bytes themselves on a raw one.
+func spanChunks(x *archindex.Index, capacity, off, length int) (first, last int) {
+	lo, hi := off, off+length
+	if x.Compress {
+		lo = -1
+		for _, b := range x.Blocks {
+			if b.RawOff < off+length && off < b.RawOff+b.RawLen {
+				if lo < 0 {
+					lo = b.CompOff
+				}
+				hi = b.CompOff + b.CompLen
+			}
+		}
+	}
+	return lo / capacity, (hi - 1) / capacity
+}
+
+// boundaryBlock returns the restart block whose compressed bytes hold the
+// first group boundary: its span reads the tail of group 0 and the head
+// of group 1.
+func boundaryBlock(t *testing.T, f *frameFixture) dbcoder.SeekBlock {
+	t.Helper()
+	boundary := f.x.GroupData * f.capacity
+	for _, b := range f.x.Blocks {
+		if b.CompOff <= boundary && boundary < b.CompOff+b.CompLen {
+			return b
+		}
+	}
+	t.Fatal("no restart block holds the first group boundary")
+	return dbcoder.SeekBlock{}
+}
+
+// spanQuery is one frame-granular query: a raw range, or a table by name.
+type spanQuery struct {
+	table       string
+	off, length int
+}
+
+func (q spanQuery) run(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	if q.table != "" {
+		return RestoreTable(v, bootstrapText, q.table, ro)
+	}
+	return RestoreRange(v, bootstrapText, q.off, q.length, ro)
+}
+
+// runPrescanned runs q on the pre-scanned copy pre at workers 1, 2 and 8
+// and on the scanner-included volume arch.Volume at workers 2. Every run
+// must return the same bytes, stats and error text, which it returns.
+func runPrescanned(t *testing.T, arch *Archived, pre *media.Volume, q spanQuery, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+	t.Helper()
+	ro.Workers = 2
+	want, wantSt, wantErr := q.run(arch.Volume, arch.BootstrapText, ro)
+	for _, workers := range []int{1, 2, 8} {
+		ro.Workers = workers
+		got, st, err := q.run(pre, arch.BootstrapText, ro)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) || !reflect.DeepEqual(st, wantSt) {
+			t.Fatalf("%+v workers=%d: pre-scanned query diverges from the scanner-included one:\n got %v %+v\nwant %v %+v",
+				q, workers, err, st, wantErr, wantSt)
+		}
+	}
+	return want, wantSt, wantErr
+}
+
+// TestRestoreRangeFramesSpanOnly: on clean compressed and raw volumes a
+// query scans one index probe plus exactly the data frames its stream
+// span overlaps — no parity, no other data frame — and none fails.
+func TestRestoreRangeFramesSpanOnly(t *testing.T) {
+	for _, compress := range []bool{true, false} {
+		f := cleanFixture(t, compress)
+		secs, err := sqldump.Sections(f.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A range across the first group boundary; on a compressed volume
+		// it also crosses into the restart block holding that boundary.
+		boundary := f.x.GroupData * f.capacity
+		if compress {
+			boundary = boundaryBlock(t, f).RawOff
+		}
+		n := len(f.data)
+		queries := []spanQuery{
+			{off: 0, length: 300},
+			{off: n - 300, length: 300},
+			{off: boundary - 100, length: 200},
+			{off: n / 2, length: 1},
+			{table: secs[0].Table, off: secs[0].Off, length: secs[0].Len},
+			{table: secs[1].Table, off: secs[1].Off, length: secs[1].Len},
+		}
+		for _, q := range queries {
+			got, st, err := runPrescanned(t, f.arch, f.pre, q, RestoreOptions{Mode: RestoreNative})
+			if err != nil {
+				t.Fatalf("compress=%v %+v: %v", compress, q, err)
+			}
+			if !bytes.Equal(got, f.data[q.off:q.off+q.length]) {
+				t.Fatalf("compress=%v %+v: bytes differ from the input", compress, q)
+			}
+			first, last := spanChunks(f.x, f.capacity, q.off, q.length)
+			if want := 1 + last - first + 1; st.FramesScanned != want || st.FramesFailed != 0 ||
+				st.FramesScanned+st.FramesSkipped != f.pre.FrameCount() || st.IndexFallbacks != 0 {
+				t.Fatalf("compress=%v %+v: scanned %d (want the probe + %d span frames), stats %+v",
+					compress, q, st.FramesScanned, want-1, st)
+			}
+		}
+	}
+}
+
+// TestRestoreRangeFramesDamageOutsideSpan: a parity frame and a data
+// frame destroyed outside the span, in a group the query reads in part,
+// are never scanned, so nothing fails and nothing needs recovery.
+func TestRestoreRangeFramesDamageOutsideSpan(t *testing.T) {
+	f := cleanFixture(t, true)
+	q := spanQuery{off: 0, length: 300}
+	first, last := spanChunks(f.x, f.capacity, q.off, q.length)
+	if last >= 10 {
+		t.Fatalf("span chunks %d..%d reach data position 10", first, last)
+	}
+	// Group 0 opens sheet 0 after its catalog and index slots.
+	f = f.damaged(t, 0, 2+10, 2+f.x.GroupData+1)
+	got, st, err := runPrescanned(t, f.arch, f.pre, q, RestoreOptions{Mode: RestoreNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, f.data[:300]) {
+		t.Fatal("bytes differ from the input")
+	}
+	if st.FramesFailed != 0 || st.GroupsRecovered != 0 || st.FramesScanned != 1+last-first+1 {
+		t.Fatalf("damage outside the span was read: %+v", st)
+	}
+}
+
+// TestRestoreRangeFramesPlannedLoss: a destroyed planned frame sends its
+// group to a whole read — reported, recovered and counted as a full
+// restore would — while the query's other group stays read in part, and
+// no frame is scanned twice.
+func TestRestoreRangeFramesPlannedLoss(t *testing.T) {
+	f := cleanFixture(t, true)
+	b := boundaryBlock(t, f)
+	q := spanQuery{off: b.RawOff, length: b.RawLen}
+	first, last := spanChunks(f.x, f.capacity, q.off, q.length)
+	if first >= f.x.GroupData || last < f.x.GroupData {
+		t.Fatalf("span chunks %d..%d do not cross the group boundary", first, last)
+	}
+	f = f.damaged(t, 0, 2+first) // a planned frame of group 0
+	got, st, err := runPrescanned(t, f.arch, f.pre, q, RestoreOptions{Mode: RestoreNative})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, f.data[q.off:q.off+q.length]) {
+		t.Fatal("bytes differ from the input")
+	}
+	size := f.x.GroupData + f.x.GroupParity
+	group1 := last - f.x.GroupData + 1 // group 1's planned frames
+	want := []GroupReport{
+		{Kind: "data", Frames: size, Missing: 1, Recovered: true},
+		{ID: 1, Sheet: 1, Kind: "data", Frames: group1},
+	}
+	if !reflect.DeepEqual(st.Groups, want) {
+		t.Fatalf("groups: got %+v, want %+v", st.Groups, want)
+	}
+	if st.FramesScanned != 1+size+group1 || st.FramesFailed != 1 || st.GroupsRecovered != 1 {
+		t.Fatalf("want the probe + %d + %d frames scanned once each, 1 failed: %+v", size, group1, st)
+	}
+
+	// Cancelled at staggered points — in either executor run or between
+	// them — the query returns cleanly or with both ErrRestore and the
+	// context's error, and leaves no goroutine behind.
+	before := runtime.NumGoroutine()
+	for _, delay := range []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 10 * time.Millisecond, 30 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(delay, cancel)
+		_, _, err := q.run(f.pre, f.arch.BootstrapText, RestoreOptions{Mode: RestoreNative, Workers: 2, Context: ctx})
+		timer.Stop()
+		cancel()
+		if err != nil && !(errors.Is(err, ErrRestore) && errors.Is(err, context.Canceled)) {
+			t.Fatalf("cancelled after %v: got %v, want ErrRestore wrapping context.Canceled", delay, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("goroutines leaked: %d before, %d after", before, n)
+	}
+}
+
+// TestRestoreRangeFramesBeyondParity: four frames of one group destroyed,
+// one of them planned. The strict query fails; the Partial query returns
+// the full Partial restore's slice and loses the whole group's bytes, as
+// a whole-group read does, while the clean group before it is read in
+// part.
+func TestRestoreRangeFramesBeyondParity(t *testing.T) {
+	f := cleanFixture(t, false) // raw: Partial holes stay local
+	// The last data frame of group 0 and the first of group 1, which
+	// opens sheet 1 after its catalog and index slots.
+	q := spanQuery{off: f.x.GroupData*f.capacity - 100, length: 300}
+	f = f.damaged(t, 1, 2+0, 2+5, 2+10, 2+f.x.GroupData+1)
+	if _, _, err := runPrescanned(t, f.arch, f.pre, q, RestoreOptions{Mode: RestoreNative}); !errors.Is(err, ErrRestore) {
+		t.Fatalf("strict query: got %v, want ErrRestore", err)
+	}
+
+	var full bytes.Buffer
+	if _, err := RestoreToWriter(&full, f.pre, f.arch.BootstrapText, RestoreOptions{Mode: RestoreNative, Partial: true}); err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := runPrescanned(t, f.arch, f.pre, q, RestoreOptions{Mode: RestoreNative, Partial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, full.Bytes()[q.off:q.off+q.length]) {
+		t.Fatal("partial query differs from the full partial restore's slice")
+	}
+	size := f.x.GroupData + f.x.GroupParity
+	want := []GroupReport{
+		{Kind: "raw", Frames: 1},
+		{ID: 1, Sheet: 1, Kind: "raw", Frames: size, Missing: 4, Lost: true},
+	}
+	if !reflect.DeepEqual(st.Groups, want) || st.GroupsLost != 1 ||
+		st.BytesLost != f.x.GroupData*f.capacity || st.FramesScanned != 1+1+size {
+		t.Fatalf("got %+v, want groups %+v and %d bytes lost", st, want, f.x.GroupData*f.capacity)
 	}
 }

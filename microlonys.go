@@ -153,9 +153,10 @@ const (
 
 // RestoreRange restores exactly bytes [off, off+length) of the original
 // archive from an indexed volume (Options.Index), scanning and decoding
-// only the outer-code groups the range touches — whole sheets outside the
-// query are skipped without a single frame scan, and only the overlapping
-// DBS1 restart blocks are decompressed. The bytes are identical to the
+// only the data frames the range's stream span occupies — a group's
+// parity and other frames are scanned only to recover a failed one,
+// whole sheets outside the query are skipped without a single frame
+// scan, and only the overlapping DBS1 restart blocks are decompressed. The bytes are identical to the
 // same slice of a full Restore at any worker count. Volumes without a
 // usable index fall back to a full restore (RestoreStats.IndexFallbacks).
 func RestoreRange(v *media.Volume, bootstrapText string, off, length int, opts RestoreOptions) ([]byte, *RestoreStats, error) {
@@ -163,7 +164,8 @@ func RestoreRange(v *media.Volume, bootstrapText string, off, length int, opts R
 }
 
 // RestoreTable restores one SQL-dump table's rows region by name through
-// the index's section table, decoding only the groups the table spans.
+// the index's section table, decoding only the data frames the table's
+// restart blocks occupy (and the rest of a group only to recover it).
 func RestoreTable(v *media.Volume, bootstrapText, table string, opts RestoreOptions) ([]byte, *RestoreStats, error) {
 	return core.RestoreTable(v, bootstrapText, table, opts)
 }
