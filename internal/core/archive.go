@@ -18,6 +18,7 @@ import (
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
 	"microlonys/internal/nested"
+	"microlonys/internal/slots"
 	"microlonys/internal/sqldump"
 	"microlonys/media"
 	"microlonys/raster"
@@ -173,7 +174,10 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 					}
 				}
 			}
-			stream = dbcoder.CompressSeekableDepth(data, depth, blockBytes)
+			var err error
+			if stream, err = compressSeekable(orBackground(opts.Context), opts.Workers, data, depth, blockBytes); err != nil {
+				return nil, err
+			}
 			if bl, err := dbcoder.SeekTable(stream); err == nil {
 				idxBlocks = bl
 			}
@@ -227,7 +231,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		}
 	}
 	last := p.groups[len(p.groups)-1]
-	if err := pipelineGroups(p, sections, layout, vol, resolveWorkers(opts.Workers, last.frame+last.size())); err != nil {
+	if err := pipelineGroups(p, sections, layout, vol, slots.Workers(opts.Workers, last.frame+last.size())); err != nil {
 		return nil, err
 	}
 	p.man.Sheets = last.sheet + 1
@@ -268,7 +272,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 	// a slot and encoder scratch borrowed for it.
 	if opts.Catalog || opts.Index {
 		var err error
-		if serr := withSlot(orBackground(opts.Context), func() {
+		if serr := slots.Run(orBackground(opts.Context), func() {
 			sc := encPool.Get().(*encScratch)
 			err = p.fillReservedSlots(vol, capacity, sc, indexPayload)
 			encPool.Put(sc)
@@ -300,6 +304,22 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		arch.Medium, _ = vol.Sheet(0)
 	}
 	return arch, nil
+}
+
+// compressSeekable is dbcoder.CompressSeekableDepth with the restart
+// blocks compressed as frame-slot tasks on up to workers goroutines. Each
+// block is a standalone DBC1 archive, so the blocks compress in any order
+// and dbcoder's DBS1 writer joins them into the same bytes. Cancellation
+// of ctx lands between blocks and returns its error.
+func compressSeekable(ctx context.Context, workers int, data []byte, depth, blockBytes int) ([]byte, error) {
+	blocks := dbcoder.SplitSeekable(data, blockBytes)
+	comps := make([][]byte, len(blocks))
+	if err := slots.ForEach(ctx, workers, len(blocks), func(ctx context.Context, _, b int) error {
+		return slots.Run(ctx, func() { comps[b] = dbcoder.CompressDepth(blocks[b], depth) })
+	}); err != nil {
+		return nil, err
+	}
+	return dbcoder.JoinSeekable(data, blocks, comps), nil
 }
 
 // maxHeaderFrames is what the emblem header can address: frame indices,
@@ -519,7 +539,7 @@ type encodeTask struct {
 // groups queue (plan order, pipelineGroupDepth deep) and the frame-task
 // channel; `workers` encode goroutines drain tasks into their group's
 // frame slots, each encode holding a process-wide frame slot (see
-// frameSlots); the placer — this goroutine — consumes the groups queue
+// slots.Run); the placer — this goroutine — consumes the groups queue
 // in order, waiting per group for its last frame. Output is byte-
 // identical at any worker count: frame indices, headers and group order
 // are fixed at planning time, and the placer writes whole groups in plan
@@ -533,7 +553,7 @@ type encodeTask struct {
 func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout, vol *media.Volume, workers int) error {
 	ctx, cancel := context.WithCancel(orBackground(p.opts.Context))
 	defer cancel()
-	var ps panics
+	var ps slots.Panics
 
 	groups := make(chan *plannedGroup, pipelineGroupDepth)
 	tasks := make(chan encodeTask, workers)
@@ -568,7 +588,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 			}
 			return nil
 		}
-		planErr <- ps.run(cancel, func() error { return p.plan(sections, emit) })
+		planErr <- ps.Run(cancel, func() error { return p.plan(sections, emit) })
 	}()
 
 	// Encode stage: the parallel middle. After cancellation the workers
@@ -581,7 +601,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 			defer wg.Done()
 			for t := range tasks {
 				if ctx.Err() == nil {
-					t.pg.errs[t.i] = ps.run(cancel, func() error { return t.encode(ctx, layout) })
+					t.pg.errs[t.i] = ps.Run(cancel, func() error { return t.encode(ctx, layout) })
 				}
 				if atomic.AddInt64(&t.pg.left, -1) == 0 {
 					close(t.pg.done)
@@ -612,7 +632,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 			}
 		}
 		if placeErr == nil {
-			if err := ps.run(cancel, func() error { return vol.WriteGroup(pg.frames) }); err != nil {
+			if err := ps.Run(cancel, func() error { return vol.WriteGroup(pg.frames) }); err != nil {
 				placeErr = fmt.Errorf("core: writing medium: %w", err)
 			}
 		}
@@ -622,7 +642,7 @@ func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout,
 	}
 	err := <-planErr
 	wg.Wait()
-	ps.rethrow()
+	ps.Rethrow()
 	if placeErr != nil {
 		return placeErr
 	}
@@ -637,7 +657,7 @@ func (t encodeTask) encode(ctx context.Context, layout emblem.Layout) error {
 	ft := &t.pg.tasks[t.i]
 	var img *raster.Gray
 	var err error
-	if withSlot(ctx, func() {
+	if slots.Run(ctx, func() {
 		sc := encPool.Get().(*encScratch)
 		img, err = sc.enc.Encode(ft.payload, ft.hdr, layout)
 		encPool.Put(sc)

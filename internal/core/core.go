@@ -19,10 +19,11 @@
 //
 // The split/plan and reassemble stages are serial (they carry the
 // cross-frame state: chunking, outer-code groups, stream totals); the
-// per-frame stages fan out over a bounded worker pool (pipeline.go) sized
-// by Options.Workers / RestoreOptions.Workers, defaulting to GOMAXPROCS.
-// Frame order — and therefore every produced byte — is identical at any
-// worker count.
+// per-frame stages and DBCoder's restart blocks fan out over bounded
+// worker pools (internal/slots) sized by Options.Workers /
+// RestoreOptions.Workers, defaulting to GOMAXPROCS, each task holding one
+// of the process-wide frame slots. Frame order — and therefore every
+// produced byte — is identical at any worker count.
 package core
 
 import (
@@ -76,9 +77,10 @@ type Options struct {
 	// more data per frame. The cmd/microlonys -depth flag sets it.
 	CompressDepth int
 
-	// Workers bounds the frame-encode worker pool: 0 (the default) uses
-	// GOMAXPROCS, 1 encodes one frame at a time, larger values cap the
-	// fan-out. Output is byte-identical at any setting.
+	// Workers bounds the frame-encode and restart-block-compression
+	// worker pools: 0 (the default) uses GOMAXPROCS, 1 encodes one frame
+	// (compresses one block) at a time, larger values cap the fan-out.
+	// Output is byte-identical at any setting.
 	Workers int
 
 	// SheetFrames caps the frames per media sheet (a page bundle, a film
@@ -119,10 +121,11 @@ type Options struct {
 	// and decode; larger blocks compress better.
 	IndexBlockBytes int
 
-	// Context, when non-nil, cancels the archive pipeline: planning stops
-	// at the next group boundary, in-flight encodes drain, and
-	// CreateArchive returns the context's error. Nil means no external
-	// cancellation (context.Background()).
+	// Context, when non-nil, cancels the archive pipeline: DBCoder stops
+	// at the next restart block of an indexed archive, planning stops at
+	// the next group boundary, in-flight encodes drain, and CreateArchive
+	// returns the context's error. Nil means no external cancellation
+	// (context.Background()).
 	Context context.Context
 }
 

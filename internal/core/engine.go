@@ -10,6 +10,7 @@ import (
 	"microlonys/internal/bootstrap"
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
+	"microlonys/internal/slots"
 	"microlonys/media"
 )
 
@@ -73,7 +74,7 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 // and with at most `workers` workers. Scan and decode are fused into one
 // parallel per-frame task — a scan feeds exactly one decode, so splitting
 // them would only buffer full-resolution frame images between two stages
-// of the same fan-out — that runs holding a frame slot (see frameSlots).
+// of the same fan-out — that runs holding a frame slot (slots.Run).
 // Workers decode frames in any order; one consumer goroutine drains an
 // ordered frontier and hands each result to consume in strict plan
 // order, then releases its payload (consume copies what it keeps).
@@ -89,12 +90,12 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 	results := make([]frameResult, n)
 	// Sized so workers never block on a momentarily busy consumer: twice
 	// the live pool plus one group of slack.
-	completed := make(chan int, 2*resolveWorkers(workers, n)+mocoder.GroupData+mocoder.GroupParity)
+	completed := make(chan int, 2*slots.Workers(workers, n)+mocoder.GroupData+mocoder.GroupParity)
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	var ps panics
+	var ps slots.Panics
 	consumerErr := make(chan error, 1)
 	go func() {
 		fr := newFrontier(n)
@@ -105,7 +106,7 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 				if cerr == nil {
 					// A panic is an error here, so the loop keeps draining
 					// and no worker blocks on a send nobody receives.
-					if cerr = ps.run(cancel, func() error { return consume(k, &results[k]) }); cerr != nil {
+					if cerr = ps.Run(cancel, func() error { return consume(k, &results[k]) }); cerr != nil {
 						cancel() // stop decoding frames nobody will consume
 					}
 				}
@@ -114,14 +115,14 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 		}
 		consumerErr <- cerr
 	}()
-	// forEachFrame re-raises a worker's panic; catching it here lets the
+	// slots.ForEach re-raises a worker's panic; catching it here lets the
 	// consumer exit before it is raised again.
-	decErr := ps.run(cancel, func() error {
-		return forEachFrame(ctx, workers, n, func(ctx context.Context, _, k int) error {
+	decErr := ps.Run(cancel, func() error {
+		return slots.ForEach(ctx, workers, n, func(ctx context.Context, _, k int) error {
 			a := plan[k]
 			var err error
-			if withSlot(ctx, func() { err = d.decode(sheets[a.sheet], a.slot, &results[k]) }) != nil {
-				return nil // cancelled while waiting for a slot; forEachFrame reports why
+			if slots.Run(ctx, func() { err = d.decode(sheets[a.sheet], a.slot, &results[k]) }) != nil {
+				return nil // cancelled while waiting for a slot; slots.ForEach reports why
 			}
 			if err != nil {
 				return fmt.Errorf("%w: scanning sheet %d frame %d: %w", ErrRestore, a.sheet, a.slot, err)
@@ -132,7 +133,7 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 	})
 	close(completed)
 	cerr := <-consumerErr
-	ps.rethrow()
+	ps.Rethrow()
 	if cerr != nil {
 		return cerr
 	}
@@ -143,6 +144,35 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 	}
 	return decErr
 }
+
+// frontier replays out-of-order completions in strict index order: the
+// parallel stage reports indices as they finish, drain walks the
+// contiguous prefix exactly once per index. It is the ordering half of
+// the pipelines' serial tail stages — the restore executor's consumer
+// drains one, and the archive placer is its
+// group-granular analogue (the planner emits groups in order, so the
+// placer's frontier is the channel itself).
+type frontier struct {
+	ready []bool
+	next  int
+}
+
+func newFrontier(n int) *frontier { return &frontier{ready: make([]bool, n)} }
+
+// complete marks index i finished. Each index must complete exactly once.
+func (f *frontier) complete(i int) { f.ready[i] = true }
+
+// drain calls fn(i) for every index that has become contiguous with the
+// already-drained prefix, in increasing order.
+func (f *frontier) drain(fn func(i int)) {
+	for f.next < len(f.ready) && f.ready[f.next] {
+		fn(f.next)
+		f.next++
+	}
+}
+
+// done reports whether every index has been drained.
+func (f *frontier) done() bool { return f.next == len(f.ready) }
 
 // decode scans and decodes slot of m into res on scratch borrowed for the
 // frame. Only a scan failure is an error: a failed decode is recorded in

@@ -12,12 +12,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"runtime"
 	"testing"
 	"time"
 
+	"microlonys/internal/dbcoder"
 	"microlonys/internal/faultinject"
 	"microlonys/media"
 )
@@ -191,6 +193,12 @@ func TestErrorTaxonomyTable(t *testing.T) {
 			},
 			wants: []error{context.Canceled},
 		},
+		{
+			// Cancelled while the restart blocks are still to compress.
+			name:  "archive/cancelled-at-last-input-byte",
+			run:   archiveCancelledAtLastByte,
+			wants: []error{context.Canceled},
+		},
 	}
 
 	for _, tc := range cases {
@@ -209,6 +217,58 @@ func TestErrorTaxonomyTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// lastByteCanceller reads r and cancels a context as it hands over r's
+// last byte.
+type lastByteCanceller struct {
+	r      *bytes.Reader
+	cancel context.CancelFunc
+}
+
+func (c *lastByteCanceller) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if c.r.Len() == 0 {
+		c.cancel()
+	}
+	return n, err
+}
+
+// archiveCancelledAtLastByte archives an indexed, compressed input of 32
+// restart blocks whose reader cancels the archive's context as it hands
+// over the last byte, and returns the archive's error. It returns an
+// error of its own if the archive compressed the blocks anyway (it
+// allocated half of what one serial compression of the input allocates:
+// each block's match finder allocates its hash table) or left a
+// goroutine running.
+func archiveCancelledAtLastByte() error {
+	const blockBytes, blocks = 1024, 32
+	data := testPayload(blocks * blockBytes)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	dbcoder.CompressSeekableDepth(data, dbcoder.DefaultDepth, blockBytes)
+	runtime.ReadMemStats(&m1)
+	serial := m1.TotalAlloc - m0.TotalAlloc
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := DefaultOptions(tinyProfile())
+	opts.Index, opts.IndexBlockBytes, opts.Context = true, blockBytes, ctx
+	before := runtime.NumGoroutine()
+	runtime.ReadMemStats(&m0)
+	_, err := CreateArchiveStream(&lastByteCanceller{r: bytes.NewReader(data), cancel: cancel}, opts)
+	runtime.ReadMemStats(&m1)
+	if spent := m1.TotalAlloc - m0.TotalAlloc; spent >= serial/2 {
+		return fmt.Errorf("cancelled archive allocated %d B, a serial compression %d B: it compressed the blocks (err %v)",
+			spent, serial, err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("goroutines leaked: %d before, %d after (err %v)", before, runtime.NumGoroutine(), err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return err
 }
 
 // volumeBag pulls a volume's sheets into a salvage bag without mutation.

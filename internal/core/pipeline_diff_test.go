@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"microlonys/internal/slots"
 	"microlonys/media"
 )
 
@@ -30,7 +31,7 @@ func prePipelineVolume(t *testing.T, data []byte, opts Options, workers int) *me
 		t.Fatal(err)
 	}
 	vol := media.NewVolume(opts.Profile, opts.SheetFrames)
-	scratch := make([]encScratch, resolveWorkers(workers, 0))
+	scratch := make([]encScratch, slots.Workers(workers, 0))
 	ctx := context.Background()
 	for _, gp := range plans {
 		frames, err := encodeFrames(ctx, gp.tasks, opts.Profile.Layout, workers, scratch)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"microlonys/internal/emblem"
+	"microlonys/internal/slots"
 	"microlonys/media"
 )
 
@@ -68,7 +69,7 @@ func TestForEachFrameVisitsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 16} {
 		const n = 100
 		counts := make([]int32, n)
-		err := forEachFrame(context.Background(), workers, n, func(_ context.Context, _, i int) error {
+		err := slots.ForEach(context.Background(), workers, n, func(_ context.Context, _, i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -88,7 +89,7 @@ func TestForEachFrameReportsLowestIndexError(t *testing.T) {
 	// if both record an error the lower index must win. Run at several
 	// worker counts to shake out scheduling orders.
 	for _, workers := range []int{1, 2, 8} {
-		err := forEachFrame(context.Background(), workers, 10, func(_ context.Context, _, i int) error {
+		err := slots.ForEach(context.Background(), workers, 10, func(_ context.Context, _, i int) error {
 			if i == 3 || i == 7 {
 				return fmt.Errorf("frame %d failed", i)
 			}
@@ -115,7 +116,7 @@ func TestForEachFrameCancelsRemainingWork(t *testing.T) {
 	const n = 1000
 	var started int32
 	boom := errors.New("boom")
-	err := forEachFrame(context.Background(), 4, n, func(ctx context.Context, _, i int) error {
+	err := slots.ForEach(context.Background(), 4, n, func(ctx context.Context, _, i int) error {
 		atomic.AddInt32(&started, 1)
 		if i == 0 {
 			return boom
@@ -138,17 +139,17 @@ func TestForEachFrameCancelsRemainingWork(t *testing.T) {
 func TestForEachFrameHonorsParentContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	err := forEachFrame(ctx, 4, 50, func(_ context.Context, _, i int) error { return nil })
+	err := slots.ForEach(ctx, 4, 50, func(_ context.Context, _, i int) error { return nil })
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
 func TestResolveWorkers(t *testing.T) {
-	if resolveWorkers(0, 0) < 1 || resolveWorkers(-3, 0) < 1 {
+	if slots.Workers(0, 0) < 1 || slots.Workers(-3, 0) < 1 {
 		t.Fatal("default workers must be at least 1")
 	}
-	if resolveWorkers(7, 0) != 7 {
+	if slots.Workers(7, 0) != 7 {
 		t.Fatal("explicit worker count must be respected")
 	}
 }
@@ -158,17 +159,17 @@ func TestResolveWorkers(t *testing.T) {
 // two-frame restore on a 64-way request (or a GOMAXPROCS default) spins
 // up exactly two workers — and allocates scratch for exactly two.
 func TestResolveWorkersCapsAtLiveCount(t *testing.T) {
-	if got := resolveWorkers(64, 2); got != 2 {
-		t.Fatalf("resolveWorkers(64, 2) = %d, want 2", got)
+	if got := slots.Workers(64, 2); got != 2 {
+		t.Fatalf("slots.Workers(64, 2) = %d, want 2", got)
 	}
-	if got := resolveWorkers(0, 3); got > 3 {
-		t.Fatalf("resolveWorkers(0, 3) = %d, want <= 3", got)
+	if got := slots.Workers(0, 3); got > 3 {
+		t.Fatalf("slots.Workers(0, 3) = %d, want <= 3", got)
 	}
-	if got := resolveWorkers(2, 100); got != 2 {
-		t.Fatalf("resolveWorkers(2, 100) = %d, want 2", got)
+	if got := slots.Workers(2, 100); got != 2 {
+		t.Fatalf("slots.Workers(2, 100) = %d, want 2", got)
 	}
-	if got := resolveWorkers(5, 0); got != 5 {
-		t.Fatalf("resolveWorkers(5, 0) = %d, want 5 (unknown live count leaves the pool uncapped)", got)
+	if got := slots.Workers(5, 0); got != 5 {
+		t.Fatalf("slots.Workers(5, 0) = %d, want 5 (unknown live count leaves the pool uncapped)", got)
 	}
 }
 

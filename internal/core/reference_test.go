@@ -16,6 +16,7 @@ import (
 	"microlonys/internal/dbcoder"
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
+	"microlonys/internal/slots"
 	"microlonys/media"
 	"microlonys/raster"
 )
@@ -118,7 +119,7 @@ func splitStage(data []byte, opts Options, capacity int) (*framePlan, error) {
 // encodeStage is the seed whole-plan encode: every planned frame at once,
 // with per-call scratch.
 func encodeStage(ctx context.Context, tasks []frameTask, layout emblem.Layout, workers int) ([]*raster.Gray, error) {
-	scratch := make([]encScratch, resolveWorkers(workers, len(tasks)))
+	scratch := make([]encScratch, slots.Workers(workers, len(tasks)))
 	return encodeFrames(ctx, tasks, layout, workers, scratch)
 }
 
@@ -128,7 +129,7 @@ func encodeStage(ctx context.Context, tasks []frameTask, layout emblem.Layout, w
 // encode error cancels the rest.
 func encodeFrames(ctx context.Context, tasks []frameTask, layout emblem.Layout, workers int, scratch []encScratch) ([]*raster.Gray, error) {
 	frames := make([]*raster.Gray, len(tasks))
-	err := forEachFrame(ctx, workers, len(tasks), func(_ context.Context, worker, i int) error {
+	err := slots.ForEach(ctx, workers, len(tasks), func(_ context.Context, worker, i int) error {
 		img, err := scratch[worker].enc.Encode(tasks[i].payload, tasks[i].hdr, layout)
 		if err != nil {
 			kind := "emblem"
@@ -168,8 +169,8 @@ func splitChunks(stream []byte, capacity int) [][]byte {
 // referenceDecode is the seed scan+decode stage over a single medium.
 func referenceDecode(ctx context.Context, m *media.Medium, layout emblem.Layout, ro RestoreOptions, moProg *dynarisc.Program) ([]frameResult, error) {
 	results := make([]frameResult, m.FrameCount())
-	scratch := make([]emuScratch, resolveWorkers(ro.Workers, len(results)))
-	err := forEachFrame(ctx, ro.Workers, len(results), func(_ context.Context, worker, i int) error {
+	scratch := make([]emuScratch, slots.Workers(ro.Workers, len(results)))
+	err := slots.ForEach(ctx, ro.Workers, len(results), func(_ context.Context, worker, i int) error {
 		scan, err := m.ScanFrame(i)
 		if err != nil {
 			return fmt.Errorf("%w: scanning frame %d: %v", ErrRestore, i, err)

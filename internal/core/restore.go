@@ -747,9 +747,8 @@ func verifyDBDecodeOutput(blob, out []byte) error {
 // emuScratch is one worker's reusable emulator state for the emulated
 // restore modes: the DynaRisc reference CPU (RestoreDynaRisc), the
 // VeRisc-hosted runner (RestoreNested) and the input framing buffer.
-// Each worker id owns exactly one goroutine for a run (see
-// forEachFrame), so the scratch is reused serially without locks and a
-// frame decode allocates its payload and nothing else — not the
+// A frame task holds one (inside its scanScratch) for one frame, so the
+// scratch is reused serially without locks and a frame decode allocates its payload and nothing else — not the
 // multi-megawords machine image it used to build per frame.
 type emuScratch struct {
 	cpu    *dynarisc.CPU

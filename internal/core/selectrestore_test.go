@@ -28,31 +28,55 @@ import (
 )
 
 // indexedArchive archives a small TPC-H dump onto an indexed catalog
-// volume of several sheets. Returns the archive and the dump bytes.
+// volume of several sheets. Returns the archive and the dump bytes. The
+// dump is fitted once per test binary (tpch.FitScaleFactor renders the
+// database up to a dozen times) and archived once per compress setting;
+// each caller gets its own Volume.Clone of the archive, which it may
+// damage, and must not modify the dump.
 func indexedArchive(t testing.TB, compress bool) (*Archived, []byte) {
 	t.Helper()
+	indexedFixtures.Lock()
+	defer indexedFixtures.Unlock()
 	prof := tinyProfile()
 	capacity := mocoder.Capacity(prof.Layout)
-	_, db := tpch.FitScaleFactor(40*capacity, 7, sqldump.Dump)
-	data := sqldump.Dump(db)
-	opts := DefaultOptions(prof)
-	opts.Compress = compress
-	opts.CompressDepth = 1
-	opts.SheetFrames = 22 // 17+3 group + catalog + index slots
-	opts.Catalog = true
-	opts.Index = true
-	opts.IndexBlockBytes = 4 * capacity
-	arch, err := CreateArchive(data, opts)
-	if err != nil {
-		t.Fatal(err)
+	if indexedFixtures.data == nil {
+		_, db := tpch.FitScaleFactor(40*capacity, 7, sqldump.Dump)
+		indexedFixtures.data = sqldump.Dump(db)
 	}
-	if arch.Volume.Sheets() < 2 {
-		t.Fatalf("want a multi-sheet volume, got %d sheets", arch.Volume.Sheets())
+	arch := indexedFixtures.arch[compress]
+	if arch == nil {
+		opts := DefaultOptions(prof)
+		opts.Compress = compress
+		opts.CompressDepth = 1
+		opts.SheetFrames = 22 // 17+3 group + catalog + index slots
+		opts.Catalog = true
+		opts.Index = true
+		opts.IndexBlockBytes = 4 * capacity
+		var err error
+		if arch, err = CreateArchive(indexedFixtures.data, opts); err != nil {
+			t.Fatal(err)
+		}
+		if arch.Volume.Sheets() < 2 {
+			t.Fatalf("want a multi-sheet volume, got %d sheets", arch.Volume.Sheets())
+		}
+		if arch.Manifest.IndexFrames != arch.Volume.Sheets() {
+			t.Fatalf("manifest: %+v", arch.Manifest)
+		}
+		if indexedFixtures.arch == nil {
+			indexedFixtures.arch = map[bool]*Archived{}
+		}
+		indexedFixtures.arch[compress] = arch
 	}
-	if arch.Manifest.IndexFrames != arch.Volume.Sheets() {
-		t.Fatalf("manifest: %+v", arch.Manifest)
-	}
-	return arch, data
+	own := *arch
+	own.Volume = arch.Volume.Clone()
+	return &own, indexedFixtures.data
+}
+
+// indexedFixtures caches indexedArchive's dump and archives.
+var indexedFixtures struct {
+	sync.Mutex
+	data []byte
+	arch map[bool]*Archived // by compress
 }
 
 // checkRange asserts one indexed range query against the input slice at

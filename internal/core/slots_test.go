@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"microlonys/internal/mocoder"
+	"microlonys/internal/slots"
 	"microlonys/media"
+	"microlonys/raster"
 )
 
 // Calls that share the process-wide frame slots: every test here runs
@@ -168,4 +172,165 @@ func TestSlotsStalledSinkHoldsNone(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), stalledData) {
 		t.Fatal("stalled restore: bytes differ from the input")
 	}
+}
+
+// slotTaskFuncs are functions that run only inside a frame-slot task: a
+// frame scan (restore or reprint), a frame decode, a frame encode and a
+// restart block's compression.
+var slotTaskFuncs = []string{
+	"microlonys/media.(*Medium).ScanFrameInto(",
+	"microlonys/internal/mocoder.DecodeWith(",
+	"microlonys/internal/mocoder.(*Encoder).Encode(",
+	"microlonys/internal/dbcoder.CompressDepth(",
+}
+
+// tasksNow counts the goroutines inside slotTaskFuncs in one snapshot of
+// every goroutine's stack. A goroutine is there only while it holds a
+// slot, unless some caller computes without one.
+func tasksNow(buf []byte) int {
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		for _, fn := range slotTaskFuncs {
+			if strings.Contains(g, fn) {
+				n++
+				break
+			}
+		}
+	}
+	return n
+}
+
+// peakTasks samples tasksNow until stop is closed and returns the most
+// tasks it saw at once.
+func peakTasks(stop <-chan struct{}) int {
+	buf := make([]byte, 1<<20)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	peak := 0
+	for {
+		select {
+		case <-stop:
+			return peak
+		case <-tick.C:
+		}
+		peak = max(peak, tasksNow(buf))
+	}
+}
+
+// TestSlotsReprintBesideRestores: Reprint's frame tasks take the shared
+// frame slots. While the test holds every slot (GOMAXPROCS, sized at
+// start-up), a Reprint scans nothing and does not finish; released, it
+// completes. A second Reprint then runs beside two restores, all at
+// GOMAXPROCS workers, each restore repeating until the reprint is done so
+// the three overlap throughout: the frame tasks computing at once never
+// outnumber the slots, the reprint equals the first frame for frame, the
+// restores return their inputs, and no goroutine outlives the calls.
+func TestSlotsReprintBesideRestores(t *testing.T) {
+	arch, data := rawArchive(t, 20000)
+	src, _ := rawArchive(t, 4000)
+	src.Volume.SetScanner(tinyProfile().Scanner) // the reprint runs the scanner model
+	limit := runtime.GOMAXPROCS(0)
+	before := runtime.NumGoroutine()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	defer releaseOnce.Do(func() { close(release) })
+	for i := 0; i < limit; i++ {
+		go slots.Run(context.Background(), func() {
+			held <- struct{}{}
+			<-release
+		})
+	}
+	for i := 0; i < limit; i++ {
+		select {
+		case <-held:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("held %d of %d frame slots", i, limit)
+		}
+	}
+	var first *media.Volume
+	var firstErr error
+	firstDone := make(chan struct{})
+	go func() { defer close(firstDone); first, firstErr = src.Volume.Reprint() }()
+	time.Sleep(100 * time.Millisecond)
+	if n := tasksNow(make([]byte, 1<<20)); n > 0 {
+		t.Fatalf("%d frame tasks computed while the test held every slot", n)
+	}
+	select {
+	case <-firstDone:
+		t.Fatal("Reprint finished while the test held every slot")
+	default:
+	}
+	releaseOnce.Do(func() { close(release) })
+	<-firstDone
+	if firstErr != nil {
+		t.Fatal(firstErr)
+	}
+
+	stop, peak := make(chan struct{}), make(chan int, 1)
+	go func() { peak <- peakTasks(stop) }()
+	reprinted := make(chan struct{})
+	restore := func(arch *Archived, want []byte) error {
+		for { // until the reprint is done
+			got, _, err := RestoreVolume(arch.Volume, arch.BootstrapText, RestoreOptions{Mode: RestoreNative})
+			if err == nil && !bytes.Equal(got, want) {
+				err = errors.New("bytes differ from the input")
+			}
+			select {
+			case <-reprinted:
+				return err
+			default:
+				if err != nil {
+					return err
+				}
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	var errA, errB, errR error
+	var reprint *media.Volume
+	wg.Add(3)
+	go func() { defer wg.Done(); errA = restore(arch, data) }()
+	go func() { defer wg.Done(); errB = restore(arch, data) }()
+	go func() { defer wg.Done(); defer close(reprinted); reprint, errR = src.Volume.Reprint() }()
+	wg.Wait()
+	close(stop)
+	if errA != nil || errB != nil || errR != nil {
+		t.Fatalf("restore: %v; restore: %v; reprint: %v", errA, errB, errR)
+	}
+	p := <-peak
+	t.Logf("at most %d frame tasks computed at once, limit %d", p, limit)
+	if p > limit {
+		t.Fatalf("%d frame tasks computed at once, limit %d", p, limit)
+	}
+	waitGoroutines(t, before)
+
+	if err := sameFrames(reprint, first); err != nil {
+		t.Fatalf("reprint beside two restores: %v", err)
+	}
+}
+
+// sameFrames reports the first frame whose stored pixels differ between
+// volumes a and b, read through a distortion-free scanner at frame size.
+func sameFrames(a, b *media.Volume) error {
+	a, b = a.Clone(), b.Clone()
+	a.SetScanner(media.Distortions{})
+	b.SetScanner(media.Distortions{})
+	if a.Sheets() != b.Sheets() || a.FrameCount() != b.FrameCount() {
+		return fmt.Errorf("%d sheets/%d frames, want %d/%d", a.Sheets(), a.FrameCount(), b.Sheets(), b.FrameCount())
+	}
+	for i := 0; i < a.FrameCount(); i++ {
+		fa, err := a.ScanFrame(i)
+		if err != nil {
+			return err
+		}
+		fb, err := b.ScanFrame(i)
+		if err != nil {
+			return err
+		}
+		if !raster.Equal(fa, fb) {
+			return fmt.Errorf("frame %d differs", i)
+		}
+	}
+	return nil
 }

@@ -47,37 +47,50 @@ func CompressSeekable(src []byte, blockBytes int) []byte {
 
 // CompressSeekableDepth is CompressSeekable with an explicit match-finder
 // chain depth. A blockBytes ≤ 0 yields a single block (seekable container,
-// DBC1-equivalent ratio).
+// DBC1-equivalent ratio). It compresses the blocks one after another.
 func CompressSeekableDepth(src []byte, depth, blockBytes int) []byte {
+	blocks := SplitSeekable(src, blockBytes)
+	comps := make([][]byte, len(blocks))
+	for b, block := range blocks {
+		comps[b] = CompressDepth(block, depth)
+	}
+	return JoinSeekable(src, blocks, comps)
+}
+
+// SplitSeekable cuts src into the raw restart blocks of its DBS1 archive:
+// one every blockBytes bytes, the last one short, none for an empty src;
+// blockBytes ≤ 0 yields a single block. Each block compresses on its own
+// (CompressDepth), so a caller may compress them in any order or at once
+// and join the results with JoinSeekable.
+func SplitSeekable(src []byte, blockBytes int) [][]byte {
 	if blockBytes <= 0 {
 		blockBytes = len(src)
 	}
-	n := 0
-	if len(src) > 0 {
-		n = (len(src) + blockBytes - 1) / blockBytes
+	var blocks [][]byte
+	for lo := 0; lo < len(src); lo += blockBytes {
+		blocks = append(blocks, src[lo:min(lo+blockBytes, len(src))])
 	}
-	hdr := make([]byte, SeekHeaderSize, SeekHeaderSize+8*n)
-	copy(hdr, SeekMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(src)))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.ChecksumIEEE(src))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(n))
+	return blocks
+}
 
-	blocks := make([][]byte, 0, n)
-	for b := 0; b < n; b++ {
-		lo := b * blockBytes
-		hi := lo + blockBytes
-		if hi > len(src) {
-			hi = len(src)
-		}
-		comp := CompressDepth(src[lo:hi], depth)
-		blocks = append(blocks, comp)
-		var ent [8]byte
-		binary.LittleEndian.PutUint32(ent[0:], uint32(hi-lo))
-		binary.LittleEndian.PutUint32(ent[4:], uint32(len(comp)))
-		hdr = append(hdr, ent[:]...)
+// JoinSeekable is the DBS1 writer: the container of src whose raw restart
+// blocks are blocks (SplitSeekable's) and whose compressed blocks are
+// comps, the standalone DBC1 archive of each block in the same order.
+func JoinSeekable(src []byte, blocks, comps [][]byte) []byte {
+	size := SeekHeaderSize + 8*len(blocks)
+	for _, comp := range comps {
+		size += len(comp)
 	}
-	out := hdr
-	for _, comp := range blocks {
+	out := make([]byte, SeekHeaderSize, size)
+	copy(out, SeekMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(len(src)))
+	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(src))
+	binary.LittleEndian.PutUint32(out[12:], uint32(len(blocks)))
+	for b, block := range blocks {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(block)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(comps[b])))
+	}
+	for _, comp := range comps {
 		out = append(out, comp...)
 	}
 	return out

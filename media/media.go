@@ -255,25 +255,30 @@ func (m *Medium) SetScanner(d Distortions) { m.profile.Scanner = d }
 // writer's quantisation and distortion — onto a fresh medium. Chaining
 // Reprint models the photocopy-of-a-photocopy degradation the campaign
 // harness's generations axis sweeps; vary the scanner Seed between rounds
-// so each generation draws fresh noise.
+// so each generation draws fresh noise. It is Volume.Reprint of the
+// one-sheet volume: the frames scan as frame-slot tasks.
 func (m *Medium) Reprint() (*Medium, error) {
-	out := New(m.profile)
-	var s ScanScratch // Write copies what it stores, so one scratch serves every frame
-	buf := make([]*raster.Gray, 1)
-	for i := range m.frames {
-		img, err := m.ScanFrameInto(&s, i)
-		if err != nil {
-			return nil, err
-		}
-		if img.W != m.profile.FrameW || img.H != m.profile.FrameH {
-			img = img.Resize(m.profile.FrameW, m.profile.FrameH)
-		}
-		buf[0] = img
-		if err := out.Write(buf); err != nil {
-			return nil, err
-		}
+	v, err := VolumeOf(m).Reprint()
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return v.sheets[0], nil
+}
+
+// reprintFrame scans frame i through s and stores its reprint at index i
+// of out. The scanner seed and the writer seed depend only on i, so the
+// frames may reprint in any order. written copies what it stores, so the
+// scratch is free again on return.
+func (m *Medium) reprintFrame(s *ScanScratch, out *Medium, i int) error {
+	img, err := m.ScanFrameInto(s, i)
+	if err != nil {
+		return err
+	}
+	if img.W != m.profile.FrameW || img.H != m.profile.FrameH {
+		img = img.Resize(m.profile.FrameW, m.profile.FrameH)
+	}
+	out.frames[i] = out.written(i, img)
+	return nil
 }
 
 // scanSeed derives the per-frame scanner distortion seed. A zero profile

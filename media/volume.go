@@ -1,8 +1,11 @@
 package media
 
 import (
+	"context"
 	"fmt"
+	"sync"
 
+	"microlonys/internal/slots"
 	"microlonys/raster"
 )
 
@@ -283,19 +286,43 @@ func (v *Volume) SetScanner(d Distortions) {
 
 // Reprint plays one generational copy of every sheet (see Medium.Reprint),
 // preserving the sheet boundaries so carrier-level damage still maps one
-// to one after the copy.
+// to one after the copy. Every frame of every sheet scans as one task on a
+// GOMAXPROCS-wide pool, holding a process-wide frame slot (slots.Run) and
+// scan scratch borrowed for it only while it computes; each frame lands at
+// its own index, so the copy is the same at any GOMAXPROCS. A panic in a
+// frame's scan is re-raised on the caller's goroutine.
 func (v *Volume) Reprint() (*Volume, error) {
 	out := &Volume{profile: v.profile, sheetFrames: v.sheetFrames, catalog: v.catalog, index: v.index}
 	out.sheets = make([]*Medium, len(v.sheets))
-	for i, m := range v.sheets {
-		rm, err := m.Reprint()
-		if err != nil {
-			return nil, err
+	type frame struct{ sheet, index int }
+	var plan []frame
+	for s, m := range v.sheets {
+		out.sheets[s] = &Medium{profile: m.profile, frames: make([]*raster.Gray, len(m.frames))}
+		for i := range m.frames {
+			plan = append(plan, frame{s, i})
 		}
-		out.sheets[i] = rm
+	}
+	err := slots.ForEach(context.TODO(), 0, len(plan), func(ctx context.Context, _, k int) error {
+		f := plan[k]
+		var err error
+		if serr := slots.Run(ctx, func() {
+			s := scanPool.Get().(*ScanScratch)
+			err = v.sheets[f.sheet].reprintFrame(s, out.sheets[f.sheet], f.index)
+			scanPool.Put(s)
+		}); serr != nil {
+			return serr
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
+
+// scanPool keeps idle ScanScratch between reprint tasks; a task borrows
+// one only while it holds a frame slot.
+var scanPool = sync.Pool{New: func() any { return new(ScanScratch) }}
 
 // ScanFrame scans the frame at global index i. Each sheet seeds its
 // scanner distortion by local frame index, so a single-sheet volume scans
