@@ -15,7 +15,7 @@ import (
 // through a reused mocoder.Encoder must be byte-identical to a fresh
 // package-level mocoder.Encode of the same planned task.
 func TestEncodeScratchMatchesFresh(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	opts := DefaultOptions(prof)
 	capacity := mocoder.Capacity(prof.Layout)
 	plan, err := splitStage(testPayload(6*capacity), opts, capacity)
@@ -48,7 +48,7 @@ func TestEncodeScratchMatchesFresh(t *testing.T) {
 // written (and scanned-back) media must be byte-identical, proving the
 // reused scratch never leaks state between frames of a real archive.
 func TestArchiveScratchMatchesFreshMedium(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	opts := DefaultOptions(prof)
 	opts.Workers = 2
 	data := testPayload(5 * mocoder.Capacity(prof.Layout))

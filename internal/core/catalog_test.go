@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"microlonys/internal/mocoder"
+	"microlonys/media"
 )
 
 // TestRestoreCatalogVolume: a catalog archive restores bit-exact through
@@ -61,7 +62,7 @@ func TestRestoreCatalogVolume(t *testing.T) {
 // left false, the written volume is byte-identical to the seed pipeline
 // — no reserved slots, no manifest catalog fields.
 func TestCatalogOffIsByteIdentical(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	data := testPayload(20000)
 	opts := DefaultOptions(prof)
 
@@ -162,7 +163,7 @@ func (w *errAfterWriter) Write(p []byte) (int, error) {
 // nothing silently), drains the pipeline without deadlock, and behaves
 // identically at workers 1, 2 and 8.
 func TestRestoreToErroringWriter(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)

@@ -43,7 +43,7 @@ func archivedStream(t *testing.T, arch *Archived) []byte {
 // one block, many blocks with a short last one, at the default and an
 // explicit IndexBlockBytes — at workers 1, 2 and 8.
 func TestArchiveSeekableMatchesDBCoder(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	defaultBlock := mocoder.GroupData * mocoder.Capacity(prof.Layout) // Options.IndexBlockBytes' default
 	cases := []struct {
 		name       string

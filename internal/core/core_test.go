@@ -12,20 +12,6 @@ import (
 	"microlonys/media"
 )
 
-// tinyProfile is a fast medium for pipeline tests.
-func tinyProfile() media.Profile {
-	l := emblem.Layout{DataW: 100, DataH: 80, PxPerModule: 4}
-	return media.Profile{
-		Name:   "tiny-test",
-		FrameW: l.ImageW(), FrameH: l.ImageH(),
-		ScanW: l.ImageW(), ScanH: l.ImageH(),
-		Layout: l,
-		Scanner: media.Distortions{
-			RotationDeg: 0.15, BlurRadius: 1, Noise: 3, DustSpecks: 4,
-		},
-	}
-}
-
 func testPayload(n int) []byte {
 	var b bytes.Buffer
 	for i := 0; b.Len() < n; i++ {
@@ -38,7 +24,7 @@ func testPayload(n int) []byte {
 
 func TestArchiveRestoreNative(t *testing.T) {
 	data := testPayload(30000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +50,7 @@ func TestArchiveRestoreNative(t *testing.T) {
 func TestArchiveRestoreWithDestroyedFrames(t *testing.T) {
 	// §3.1: any three emblems per group of twenty may be lost.
 	data := testPayload(200000) // enough for a sizeable group
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +80,7 @@ func TestArchiveRestoreWithDestroyedFrames(t *testing.T) {
 
 func TestRestoreFailsBeyondParity(t *testing.T) {
 	data := testPayload(5000)
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	arch, err := CreateArchive(data, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +105,7 @@ func TestArchiveRestoreRawMode(t *testing.T) {
 	// 1.2MB dump directly and the 102KB logo image as raw payload.
 	data := make([]byte, 20000)
 	rand.New(rand.NewSource(2)).Read(data)
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.Compress = false
 	arch, err := CreateArchive(data, opts)
 	if err != nil {
@@ -143,7 +129,7 @@ func TestArchiveRestoreDynaRisc(t *testing.T) {
 	// emblems) decompresses. The distorted profile exercises the full
 	// preprocessing + emulated-decode path.
 	data := testPayload(8000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +205,7 @@ func TestEmulatedOutputVerification(t *testing.T) {
 
 func TestRestoreRejectsBadBootstrap(t *testing.T) {
 	data := testPayload(1000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // byte for byte and stat for stat.
 func TestEngineMatchesOneShotAcrossTrials(t *testing.T) {
 	data := testPayload(40000)
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.Compress = false
 	arch, err := CreateArchive(data, opts)
 	if err != nil {

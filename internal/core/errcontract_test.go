@@ -167,7 +167,7 @@ func TestErrorTaxonomyTable(t *testing.T) {
 		{
 			name: "archive/failing-reader",
 			run: func() error {
-				opts := DefaultOptions(tinyProfile())
+				opts := DefaultOptions(media.Tiny())
 				opts.Compress = false
 				_, err := CreateArchiveStream(faultinject.Reader(bytes.NewReader(testPayload(4096)), 100), opts)
 				return err
@@ -177,7 +177,7 @@ func TestErrorTaxonomyTable(t *testing.T) {
 		{
 			name: "archive/failing-reader-compressed",
 			run: func() error {
-				opts := DefaultOptions(tinyProfile())
+				opts := DefaultOptions(media.Tiny())
 				_, err := CreateArchiveStream(faultinject.Reader(bytes.NewReader(testPayload(4096)), 100), opts)
 				return err
 			},
@@ -186,7 +186,7 @@ func TestErrorTaxonomyTable(t *testing.T) {
 		{
 			name: "archive/cancelled-context",
 			run: func() error {
-				opts := DefaultOptions(tinyProfile())
+				opts := DefaultOptions(media.Tiny())
 				opts.Context = cancelled
 				_, err := CreateArchive(testPayload(4096), opts)
 				return err
@@ -252,7 +252,7 @@ func archiveCancelledAtLastByte() error {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.Index, opts.IndexBlockBytes, opts.Context = true, blockBytes, ctx
 	before := runtime.NumGoroutine()
 	runtime.ReadMemStats(&m0)

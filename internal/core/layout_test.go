@@ -15,6 +15,7 @@ import (
 	"microlonys/internal/catalog"
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
+	"microlonys/media"
 )
 
 // allocated reports the bytes fn allocates.
@@ -31,7 +32,7 @@ func allocated(fn func()) uint64 {
 // the header index each group's first frame carries — for unbounded,
 // bounded and reserved-slot volumes alike.
 func TestLayoutMatchesVolume(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	for _, tc := range []struct {
 		sheetFrames    int

@@ -16,7 +16,7 @@ import (
 func partialArchive(t *testing.T, n int) (*Archived, []byte) {
 	t.Helper()
 	data := testPayload(n)
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.Compress = false
 	opts.SheetFrames = 2 * (opts.GroupData + mocoder.GroupParity)
 	arch, err := CreateArchive(data, opts)

@@ -70,7 +70,7 @@ func TestPipelinedArchiveMatchesPrePipeline(t *testing.T) {
 	// several groups and sheets.
 	data := make([]byte, 60000)
 	rand.New(rand.NewSource(9)).Read(data)
-	base := DefaultOptions(tinyProfile())
+	base := DefaultOptions(media.Tiny())
 	base.SheetFrames = 40
 
 	ref := volumeFingerprint(t, prePipelineVolume(t, data, base, 1))
@@ -109,7 +109,7 @@ func TestPipelinedArchiveMatchesPrePipeline(t *testing.T) {
 // must not depend on decode scheduling.
 func TestPipelinedRestorePartialDamagedSheet(t *testing.T) {
 	data := testPayload(45000)
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	// Raw archive: a compressed stream with a zero-filled hole fails at
 	// DBDecode, which would collapse Partial to pass/fail.
 	opts.Compress = false
@@ -165,7 +165,7 @@ func TestPipelinedRestorePartialDamagedSheet(t *testing.T) {
 // must surface the same planner error at any worker count, with no hangs
 // and no partial-group writes racing the failure.
 func TestPipelinedArchiveErrorMatchesSerial(t *testing.T) {
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.Compress = false
 	want := ""
 	for _, workers := range []int{1, 2, 8} {

@@ -228,7 +228,7 @@ func mediumFingerprint(t *testing.T, a *Archived) []byte {
 
 func TestArchiveParallelMatchesSerial(t *testing.T) {
 	data := testPayload(40000)
-	base := DefaultOptions(tinyProfile())
+	base := DefaultOptions(media.Tiny())
 
 	serialOpts := base
 	serialOpts.Workers = 1
@@ -259,7 +259,7 @@ func TestArchiveParallelMatchesSerial(t *testing.T) {
 
 func TestRestoreParallelMatchesSerial(t *testing.T) {
 	data := testPayload(50000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRestoreParallelMatchesSerialEmulated(t *testing.T) {
 	// the counts pins both the pipeline determinism and the Reset-based
 	// reuse.
 	data := testPayload(4000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 // catalog slot).
 func catalogArchive(t *testing.T, compress bool) (*Archived, []byte) {
 	t.Helper()
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -149,7 +149,7 @@ func TestSalvageDamagedAndDuplicated(t *testing.T) {
 // survivors restore bit-exact.
 func TestSalvageWithheldSheet(t *testing.T) {
 	arch, data := catalogArchive(t, false)
-	capacity := mocoder.Capacity(tinyProfile().Layout)
+	capacity := mocoder.Capacity(media.Tiny().Layout)
 
 	bag := bagOf(t, arch.Volume, 2, 0) // sheet 1 withheld
 	got, rep, err := Salvage(bag, SalvageOptions{})
@@ -183,7 +183,7 @@ func TestSalvageWithheldSheet(t *testing.T) {
 // headers' index vote. The original ordinals are unknowable, so the
 // ledger reports planner-order numbering and no catalog.
 func TestSalvageCatalogFreeFallback(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -291,7 +291,7 @@ func TestSalvageTruncatedSheet(t *testing.T) {
 // data and system sections reassemble from the shuffled bag and DBDecode
 // reproduces the original bytes.
 func TestSalvageCompressedArchive(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	// Incompressible data keeps the compressed stream over one group, so
 	// the data and system sections are guaranteed to span sheets.
 	data := make([]byte, 8000)
@@ -328,7 +328,7 @@ func TestSalvageEmptyAndUnreadable(t *testing.T) {
 	if _, _, err := Salvage(nil, SalvageOptions{}); !errors.Is(err, ErrRestore) {
 		t.Fatalf("empty bag: got %v, want ErrRestore", err)
 	}
-	prof := tinyProfile()
+	prof := media.Tiny()
 	m := media.New(prof)
 	if _, _, err := Salvage([]*media.Medium{m}, SalvageOptions{}); !errors.Is(err, ErrRestore) {
 		t.Fatalf("frameless bag: got %v, want ErrRestore", err)
@@ -467,7 +467,7 @@ func TestSalvageFaultSchedules(t *testing.T) {
 // several worker counts.
 func TestSalvageToErroringWriter(t *testing.T) {
 	arch, _ := catalogArchive(t, false)
-	capacity := mocoder.Capacity(tinyProfile().Layout)
+	capacity := mocoder.Capacity(media.Tiny().Layout)
 	bag := bagOf(t, arch.Volume, 2, 1, 0)
 	for _, workers := range []int{1, 2, 8} {
 		w := faultinject.Writer(io.Discard, 18*capacity)

@@ -37,7 +37,7 @@ func indexedArchive(t testing.TB, compress bool) (*Archived, []byte) {
 	t.Helper()
 	indexedFixtures.Lock()
 	defer indexedFixtures.Unlock()
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	if indexedFixtures.data == nil {
 		_, db := tpch.FitScaleFactor(40*capacity, 7, sqldump.Dump)
@@ -295,7 +295,7 @@ func TestRestoreRangePartialLoss(t *testing.T) {
 // the full-restore path, counted in IndexFallbacks, and still returns
 // the exact slice.
 func TestRestoreRangeCorruptIndexFallsBack(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(30 * capacity)
 	opts := DefaultOptions(prof)
@@ -516,7 +516,7 @@ func TestEngineRangeMatchesOneShot(t *testing.T) {
 // detector, so the clean fixtures are built once per test binary.
 
 // prescan returns v as its scanner reads it: Reprint renders every frame
-// through v's scanner once, and the copy scans distortion-free. tinyProfile
+// through v's scanner once, and the copy scans distortion-free. media.Tiny()
 // has no writer distortion or bitonal quantisation and scans at frame
 // size, so the copy's scans are the pixels v's scanner produces.
 func prescan(t testing.TB, v *media.Volume) *media.Volume {

@@ -34,7 +34,7 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 func rawArchive(t *testing.T, n int) (*Archived, []byte) {
 	t.Helper()
 	data := testPayload(n)
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.Compress = false
 	arch, err := CreateArchive(data, opts)
 	if err != nil {
@@ -228,7 +228,7 @@ func peakTasks(stop <-chan struct{}) int {
 func TestSlotsReprintBesideRestores(t *testing.T) {
 	arch, data := rawArchive(t, 20000)
 	src, _ := rawArchive(t, 4000)
-	src.Volume.SetScanner(tinyProfile().Scanner) // the reprint runs the scanner model
+	src.Volume.SetScanner(media.Tiny().Scanner) // the reprint runs the scanner model
 	limit := runtime.GOMAXPROCS(0)
 	before := runtime.NumGoroutine()
 

@@ -98,9 +98,9 @@ func retainedBytes(setup func() any) uint64 {
 
 // BenchmarkP6ArchivePeak prices what the streaming planner saves on the
 // way out. The seed pipeline rasterized every frame before placing any,
-// so at the place stage it holds the entire encoded frame list on top of
-// the medium (two full copies of the archive's pixels); the streaming
-// pipeline holds the medium plus at most one group in flight. retained-B
+// so at the place stage it holds the entire encoded frame list, as
+// pixels, on top of the medium (the same frames, stored packed); the
+// streaming pipeline holds the medium plus at most one group in flight. retained-B
 // is the GC-exact live set at that point; peak-B the sampled high-water
 // mark over the whole run.
 func BenchmarkP6ArchivePeak(b *testing.B) {

@@ -91,7 +91,7 @@ func planOnly(data []byte, opts Options) (Manifest, []groupPlan, error) {
 // capacity multiples, short tails, multi-group sections — compressed and
 // raw.
 func TestPlannerMatchesReferenceSplit(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	sizes := []int{0, 1, capacity - 1, capacity, capacity + 1,
 		17 * capacity, 17*capacity + 1, 40*capacity + 123}
@@ -134,7 +134,7 @@ func TestPlannerMatchesReferenceSplit(t *testing.T) {
 // identical at any worker count — the acceptance differential for
 // ArchiveReader vs the seed Archive path.
 func TestArchiveStreamMatchesReferenceMedium(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(19*capacity + 57) // two groups, short tail
 
@@ -179,7 +179,7 @@ func TestArchiveStreamMatchesReferenceMedium(t *testing.T) {
 // with neither Len nor Seek (a pipe) must archive identically to the
 // in-memory path.
 func TestArchiveReaderUnsizedStream(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	data := testPayload(4000)
 	opts := DefaultOptions(prof)
 	opts.Compress = false
@@ -206,7 +206,7 @@ func TestArchiveReaderUnsizedStream(t *testing.T) {
 // and emulated.
 func TestRestoreStreamMatchesReference(t *testing.T) {
 	data := testPayload(30000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestRestoreStreamMatchesReference(t *testing.T) {
 // stats, per worker count.
 func TestRestoreDamagedFramesMatchesReference(t *testing.T) {
 	data := testPayload(30000)
-	arch, err := CreateArchive(data, DefaultOptions(tinyProfile()))
+	arch, err := CreateArchive(data, DefaultOptions(media.Tiny()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestRestoreDamagedFramesMatchesReference(t *testing.T) {
 // RestoreVolume's buffered bytes, and the stats — including the per-sheet
 // and per-group reports — are deeply equal at every worker count.
 func TestRestoreToMatchesRestore(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity) // 3 raw groups
 	opts := DefaultOptions(prof)
@@ -344,7 +344,7 @@ func TestRestoreToMatchesRestore(t *testing.T) {
 // SheetFrames set, groups land whole on sheets (every frame of a group
 // decodes to the same sheet) and the manifest counts the cut sheets.
 func TestMultiSheetPlacement(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -406,7 +406,7 @@ func TestMultiSheetPlacement(t *testing.T) {
 // TestSheetFramesBelowGroupRejected: a sheet must hold at least one whole
 // group, or no group could ever be placed.
 func TestSheetFramesBelowGroupRejected(t *testing.T) {
-	opts := DefaultOptions(tinyProfile())
+	opts := DefaultOptions(media.Tiny())
 	opts.SheetFrames = 19 // 17+3 = 20 needed
 	if _, err := CreateArchive(testPayload(1000), opts); err == nil {
 		t.Fatal("sheet capacity below group size accepted")
@@ -418,7 +418,7 @@ func TestSheetFramesBelowGroupRejected(t *testing.T) {
 // outer code — strict restore must fail with ErrRestore even though every
 // other sheet is intact.
 func TestDestroyedSheetIsFatal(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -445,7 +445,7 @@ func TestDestroyedSheetIsFatal(t *testing.T) {
 // group — restores bit-exactly, with the per-sheet stats recording each
 // sheet's recovery.
 func TestCrossSheetFrameLossRecovers(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -493,7 +493,7 @@ func TestCrossSheetFrameLossRecovers(t *testing.T) {
 // the lost sheet's bytes (offsets hold) and the stats name exactly what
 // was lost, identically at any worker count.
 func TestPartialRestoreAfterSheetLoss(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -566,7 +566,7 @@ func TestPartialRestoreAfterSheetLoss(t *testing.T) {
 // group resolves the section — the survivors must still land at their
 // archive offsets, with the lost group's bytes zeroed at the front.
 func TestPartialRestoreLeadingSheetLoss(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -605,7 +605,7 @@ func TestPartialRestoreLeadingSheetLoss(t *testing.T) {
 // must still zero-fill its data bytes so later groups keep their
 // offsets.
 func TestPartialRestoreParityOnlySurvivors(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	data := testPayload(40 * capacity)
 	opts := DefaultOptions(prof)
@@ -648,7 +648,7 @@ func TestPartialRestoreParityOnlySurvivors(t *testing.T) {
 // TestPlannerRejectsHeaderLimit: frame indices and group ids are uint16
 // in the emblem header; the planner must refuse archives that would wrap.
 func TestPlannerRejectsHeaderLimit(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	capacity := mocoder.Capacity(prof.Layout)
 	opts := DefaultOptions(prof)
 	// 3276 full 17+3 groups and one 13+3 group fill exactly 65536 frames;
@@ -668,7 +668,7 @@ func TestPlannerRejectsHeaderLimit(t *testing.T) {
 // nothing: a zero-frame medium (and volume) must return ErrRestore, not
 // panic or report empty success.
 func TestRestoreEmptyMediumErrRestore(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	arch, err := CreateArchive(testPayload(100), DefaultOptions(prof))
 	if err != nil {
 		t.Fatal(err)
@@ -695,7 +695,7 @@ func TestRestoreEmptyMediumErrRestore(t *testing.T) {
 // multi-sheet compressed archive: the data group and the system group end
 // up on different carriers and the emulated path reassembles across them.
 func TestMultiSheetEmulatedRestore(t *testing.T) {
-	prof := tinyProfile()
+	prof := media.Tiny()
 	// Incompressible data keeps the compressed stream over one group, so
 	// the data and system sections are guaranteed to span sheets.
 	data := make([]byte, 8000)

@@ -21,6 +21,7 @@ import (
 
 	"microlonys/internal/core"
 	"microlonys/internal/faultinject"
+	"microlonys/media"
 )
 
 func TestChaosAcceptance(t *testing.T) {
@@ -84,7 +85,7 @@ func TestChaosAcceptance(t *testing.T) {
 			Source: func(context.Context) (io.Reader, error) {
 				return flaky.Reader(bytes.NewReader(payload)), nil
 			},
-			ArchiveOptions: core.DefaultOptions(tinyProfile()),
+			ArchiveOptions: core.DefaultOptions(media.Tiny()),
 			Timeout:        10 * time.Minute,
 		}, func(t *testing.T, res Result, snap Snapshot, _ error) {
 			if snap.Retries != 2 {
@@ -125,7 +126,7 @@ func TestChaosAcceptance(t *testing.T) {
 			Source: func(context.Context) (io.Reader, error) {
 				return faultinject.SlowReader(bytes.NewReader(testPayload(64*1024)), 20*time.Millisecond), nil
 			},
-			ArchiveOptions: core.DefaultOptions(tinyProfile()),
+			ArchiveOptions: core.DefaultOptions(media.Tiny()),
 			Timeout:        40 * time.Millisecond,
 		}, func(t *testing.T, _ Result, snap Snapshot, err error) {
 			if !errors.Is(err, context.DeadlineExceeded) {
@@ -146,7 +147,7 @@ func TestChaosAcceptance(t *testing.T) {
 				<-ctx.Done()
 				return nil, ctx.Err()
 			},
-			ArchiveOptions: core.DefaultOptions(tinyProfile()),
+			ArchiveOptions: core.DefaultOptions(media.Tiny()),
 			Timeout:        10 * time.Minute,
 		}, nil)
 		cancelIDs = append(cancelIDs, id)
@@ -194,7 +195,7 @@ func TestChaosAcceptance(t *testing.T) {
 	submit("panic", StateFailed, Request{
 		Kind:           KindArchive,
 		Source:         func(context.Context) (io.Reader, error) { panic("chaos: injected panic") },
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 		Timeout:        10 * time.Minute,
 	}, func(t *testing.T, _ Result, snap Snapshot, err error) {
 		if !errors.Is(err, ErrPanicked) || snap.Panic == "" {
@@ -304,7 +305,7 @@ func TestJournalRestartReplay(t *testing.T) {
 	failID, err := m.Submit(Request{
 		Kind:           KindArchive,
 		Source:         func(context.Context) (io.Reader, error) { panic("boom") },
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 
 	"microlonys/internal/core"
 	"microlonys/internal/faultinject"
+	"microlonys/media"
 )
 
 // recorder tallies what a job's factories opened and how the manager
@@ -95,7 +96,7 @@ func TestFactoriesClosedEveryAttempt(t *testing.T) {
 		Source: func(context.Context) (io.Reader, error) {
 			return &recordingReader{Reader: flakySrc.Reader(bytes.NewReader(testPayload(4096))), rec: src, i: src.open()}, nil
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,27 +11,12 @@ import (
 	"time"
 
 	"microlonys/internal/core"
-	"microlonys/internal/emblem"
 	"microlonys/internal/faultinject"
 	"microlonys/internal/mocoder"
 	"microlonys/internal/sqldump"
 	"microlonys/media"
 	"microlonys/tpch"
 )
-
-// tinyProfile is the same fast medium the core tests use.
-func tinyProfile() media.Profile {
-	l := emblem.Layout{DataW: 100, DataH: 80, PxPerModule: 4}
-	return media.Profile{
-		Name:   "tiny-test",
-		FrameW: l.ImageW(), FrameH: l.ImageH(),
-		ScanW: l.ImageW(), ScanH: l.ImageH(),
-		Layout: l,
-		Scanner: media.Distortions{
-			RotationDeg: 0.15, BlurRadius: 1, Noise: 3, DustSpecks: 4,
-		},
-	}
-}
 
 func testPayload(n int) []byte {
 	var b bytes.Buffer
@@ -55,7 +40,7 @@ var (
 func fixture(t testing.TB) (*core.Archived, []byte) {
 	t.Helper()
 	fixOnce.Do(func() {
-		prof := tinyProfile()
+		prof := media.Tiny()
 		capacity := mocoder.Capacity(prof.Layout)
 		_, db := tpch.FitScaleFactor(40*capacity, 7, sqldump.Dump)
 		fixData = sqldump.Dump(db)
@@ -185,7 +170,7 @@ func TestResultsMatchOneShotFacade(t *testing.T) {
 	archiveID := submit(Request{
 		Kind:           KindArchive,
 		Source:         func(context.Context) (io.Reader, error) { return bytes.NewReader(testPayload(8192)), nil },
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 
 	if got := wait(restoreID); !bytes.Equal(got.Data, data) {
@@ -230,7 +215,7 @@ func TestBackpressure(t *testing.T) {
 				return nil, ctx.Err()
 			}
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	}
 	// First job: wait until the worker has pulled it off the queue, so
 	// the two queue slots are reliably free for the next submissions.
@@ -269,7 +254,7 @@ func TestBackpressure(t *testing.T) {
 	id, err := m.Submit(Request{
 		Kind:           KindArchive,
 		Source:         func(context.Context) (io.Reader, error) { return bytes.NewReader(testPayload(4096)), nil },
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatalf("admission did not reopen: %v", err)
@@ -290,7 +275,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 		Source: func(context.Context) (io.Reader, error) {
 			return flaky.Reader(bytes.NewReader(testPayload(8192))), nil
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -321,7 +306,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 		Source: func(context.Context) (io.Reader, error) {
 			return flaky.Reader(bytes.NewReader(testPayload(4096))), nil
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -368,7 +353,7 @@ func TestPanicIsolation(t *testing.T) {
 	id, err := m.Submit(Request{
 		Kind:           KindArchive,
 		Source:         func(context.Context) (io.Reader, error) { panic("injected chaos panic") },
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -387,7 +372,7 @@ func TestPanicIsolation(t *testing.T) {
 	id, err = m.Submit(Request{
 		Kind:           KindArchive,
 		Source:         func(context.Context) (io.Reader, error) { return bytes.NewReader(testPayload(4096)), nil },
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -415,7 +400,7 @@ func (panickingReader) Read([]byte) (int, error) { panic("injected source panic"
 // instead of crashing the process. The snapshot names the panicking
 // method, and the next job on the same manager succeeds.
 func TestPanicOnCoreGoroutines(t *testing.T) {
-	raw := core.DefaultOptions(tinyProfile())
+	raw := core.DefaultOptions(media.Tiny())
 	raw.Compress = false // raw restores write each group from the consumer goroutine
 	data := testPayload(20000)
 	rawArch, err := core.CreateArchive(data, raw)
@@ -499,7 +484,7 @@ func TestDeadline(t *testing.T) {
 		Source: func(context.Context) (io.Reader, error) {
 			return faultinject.SlowReader(bytes.NewReader(testPayload(64*1024)), 20*time.Millisecond), nil
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 		Timeout:        30 * time.Millisecond,
 	})
 	if err != nil {
@@ -526,7 +511,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 			<-ctx.Done() // hold the worker until the job is cancelled
 			return nil, ctx.Err()
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -614,7 +599,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 			<-ctx.Done() // only the forced drain can unblock this job
 			return nil, ctx.Err()
 		},
-		ArchiveOptions: core.DefaultOptions(tinyProfile()),
+		ArchiveOptions: core.DefaultOptions(media.Tiny()),
 	})
 	if err != nil {
 		t.Fatal(err)

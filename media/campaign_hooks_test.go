@@ -206,12 +206,12 @@ func TestReprintDegradesButPreservesGeometry(t *testing.T) {
 
 	// Generation loss accumulates: the mean absolute difference from the
 	// pristine written frame grows (or at worst holds) across copies.
-	d1 := meanAbsDiff(m.frames[0], g1.frames[0])
+	d1 := meanAbsDiff(m.frames[0].gray(), g1.frames[0].gray())
 	g2, err := g1.Reprint()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2 := meanAbsDiff(m.frames[0], g2.frames[0])
+	d2 := meanAbsDiff(m.frames[0].gray(), g2.frames[0].gray())
 	if d1 <= 0 {
 		t.Fatal("first generation introduced no degradation")
 	}

@@ -38,7 +38,7 @@ func TestWriteAtMatchesSequentialWrite(t *testing.T) {
 		t.Fatalf("WriteAt: %v", err)
 	}
 	for i := range frames {
-		if !bytes.Equal(seq.frames[i].Pix, patched.frames[i].Pix) {
+		if !bytes.Equal(seq.frames[i].gray().Pix, patched.frames[i].gray().Pix) {
 			t.Fatalf("frame %d diverged after WriteAt back-patch", i)
 		}
 	}
@@ -120,7 +120,7 @@ func TestVolumeCatalogReservation(t *testing.T) {
 	if err := want.Write([]*raster.Gray{cat}); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	if !bytes.Equal(m.frames[0].Pix, want.frames[0].Pix) {
+	if !bytes.Equal(m.frames[0].gray().Pix, want.frames[0].gray().Pix) {
 		t.Fatal("FillCatalog slot diverged from a sequential slot-0 write")
 	}
 

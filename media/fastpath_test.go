@@ -166,7 +166,7 @@ func TestWriteZeroWriterMatchesApplyPath(t *testing.T) {
 			if bitonal {
 				want = want.Threshold(want.OtsuThreshold())
 			}
-			if !raster.Equal(m.frames[i], want) {
+			if !raster.Equal(m.frames[i].gray(), want) {
 				t.Fatalf("bitonal=%v frame %d: fast Write differs from reference", bitonal, i)
 			}
 		}
@@ -177,7 +177,7 @@ func TestWriteZeroWriterMatchesApplyPath(t *testing.T) {
 	if err := m.Write([]*raster.Gray{frame}); err != nil {
 		t.Fatal(err)
 	}
-	if &m.frames[0].Pix[0] == &frame.Pix[0] {
+	if &m.frames[0].gray().Pix[0] == &frame.Pix[0] {
 		t.Fatal("zero-writer Write stored the caller's pixel buffer")
 	}
 }

@@ -158,7 +158,45 @@ func ProfileByName(name string) (Profile, error) {
 // can be damaged, destroyed and scanned back.
 type Medium struct {
 	profile Profile
-	frames  []*raster.Gray
+	frames  []frame
+}
+
+// frame is one stored frame. A frame of at most two grey levels — every
+// clean emblem, every frame of a bitonal writer, fogged placeholders and
+// destroyed frames — is kept as packed bits at an eighth of its pixel
+// bytes; anything else (a damaged or reprinted grayscale frame) as pixels.
+// Either is never written after it is stored: scans read it concurrently
+// and clones share it.
+type frame struct {
+	bits *raster.Bitonal
+	pix  *raster.Gray
+}
+
+// stored keeps img, which the medium owns from here on, packed when it
+// has at most two grey levels.
+func stored(img *raster.Gray) frame {
+	if b, ok := raster.Pack(img); ok {
+		return frame{bits: b}
+	}
+	return frame{pix: img}
+}
+
+// fogged is the stored form of an unreadable frame: uniform mid-grey, one
+// level, so it is packed without rendering its pixels.
+func fogged(p Profile) frame {
+	return frame{bits: &raster.Bitonal{
+		W: p.FrameW, H: p.FrameH, Levels: [2]byte{128, 128},
+		Bits: make([]byte, (p.FrameW*p.FrameH+7)/8),
+	}}
+}
+
+// gray returns the frame's pixels: the stored image itself, which must not
+// be written, or packed bits unpacked into a fresh image.
+func (f frame) gray() *raster.Gray {
+	if f.bits != nil {
+		return f.bits.UnpackInto(&raster.Gray{})
+	}
+	return f.pix
 }
 
 // New returns an empty medium for the profile.
@@ -201,22 +239,24 @@ func (m *Medium) WriteAt(i int, f *raster.Gray) error {
 
 // written returns frame f as the writer stores it at index i: the writer
 // distortion, seeded by the index, then bitonal quantisation when the
-// profile has it. The result never aliases f — the medium owns its
-// pixels. A distortion-free writer (every built-in profile) skips the
-// distortion pass, so quantisation allocates the stored frame itself.
-func (m *Medium) written(i int, f *raster.Gray) *raster.Gray {
+// profile has it, packed when the result has at most two grey levels. The
+// result never aliases f — the medium owns its frames. A distortion-free
+// writer (every built-in profile) skips the distortion pass, and a clean
+// emblem packs straight from the caller's image without a copy.
+func (m *Medium) written(i int, f *raster.Gray) frame {
 	out := f
 	if d := m.profile.Writer; !d.IsZero() {
 		d.Seed = int64(i)*7919 + 1
 		out = d.Apply(f)
 	}
-	switch {
-	case m.profile.WriteBitonal:
-		return out.Threshold(out.OtsuThreshold())
-	case out == f:
-		return f.Clone()
+	if m.profile.WriteBitonal {
+		out = out.Threshold(out.OtsuThreshold())
 	}
-	return out
+	st := stored(out)
+	if st.pix == f {
+		st.pix = f.Clone()
+	}
+	return st
 }
 
 // Truncate discards every frame from index n on — the fault model of a
@@ -235,13 +275,13 @@ func (m *Medium) Truncate(n int) {
 func (m *Medium) FrameCount() int { return len(m.frames) }
 
 // Clone returns an independent medium holding the same frames. The clone
-// shares frame pixel buffers with the original — safe because every
-// mutating API (Write, Damage, Destroy) replaces a frame's image rather
-// than editing its pixels in place — so damaging the clone never touches
+// shares stored frames (bits or pixels) with the original — safe because
+// every mutating API (Write, Damage, Destroy) replaces a stored frame
+// rather than editing it in place — so damaging the clone never touches
 // the original. The damage-campaign harness clones one archived medium
 // per randomized trial instead of re-archiving.
 func (m *Medium) Clone() *Medium {
-	return &Medium{profile: m.profile, frames: append([]*raster.Gray(nil), m.frames...)}
+	return &Medium{profile: m.profile, frames: append([]frame(nil), m.frames...)}
 }
 
 // SetScanner replaces the medium's scanner distortion model — the
@@ -267,8 +307,8 @@ func (m *Medium) Reprint() (*Medium, error) {
 
 // reprintFrame scans frame i through s and stores its reprint at index i
 // of out. The scanner seed and the writer seed depend only on i, so the
-// frames may reprint in any order. written copies what it stores, so the
-// scratch is free again on return.
+// frames may reprint in any order. written packs or copies what it
+// stores, so the scratch is free again on return.
 func (m *Medium) reprintFrame(s *ScanScratch, out *Medium, i int) error {
 	img, err := m.ScanFrameInto(s, i)
 	if err != nil {
@@ -296,12 +336,14 @@ func scanSeed(base int64, i int) int64 {
 }
 
 // Damage applies additional distortion to a stored frame, modelling decay
-// or mishandling after writing.
+// or mishandling after writing. A packed frame is unpacked first; the
+// damaged frame is stored like any other, as pixels unless it still has
+// at most two grey levels.
 func (m *Medium) Damage(i int, d Distortions) error {
 	if i < 0 || i >= len(m.frames) {
 		return fmt.Errorf("media: frame %d out of range", i)
 	}
-	m.frames[i] = d.Apply(m.frames[i])
+	m.frames[i] = stored(d.Apply(m.frames[i].gray()))
 	return nil
 }
 
@@ -311,11 +353,7 @@ func (m *Medium) Destroy(i int) error {
 	if i < 0 || i >= len(m.frames) {
 		return fmt.Errorf("media: frame %d out of range", i)
 	}
-	fogged := raster.New(m.profile.FrameW, m.profile.FrameH)
-	for j := range fogged.Pix {
-		fogged.Pix[j] = 128
-	}
-	m.frames[i] = fogged
+	m.frames[i] = fogged(m.profile)
 	return nil
 }
 

@@ -114,8 +114,8 @@ func sameVolume(got, want *Volume) error {
 		if gm.profile != wm.profile || len(gm.frames) != len(wm.frames) {
 			return fmt.Errorf("sheet %d: %d frames, want %d", s, len(gm.frames), len(wm.frames))
 		}
-		for i, wf := range wm.frames {
-			gf := gm.frames[i]
+		for i := range wm.frames {
+			gf, wf := gm.frames[i].gray(), wm.frames[i].gray()
 			if gf.W != wf.W || gf.H != wf.H || !bytes.Equal(gf.Pix, wf.Pix) {
 				return fmt.Errorf("sheet %d frame %d: pixels differ", s, i)
 			}
@@ -205,7 +205,7 @@ func TestReprintMatchesSerial(t *testing.T) {
 func TestReprintPanicOnCaller(t *testing.T) {
 	v := reprintVolume(t, reprintProfile(), 4, 10, false)
 	m := v.sheets[1]
-	m.frames[2] = &raster.Gray{W: m.profile.FrameW, H: m.profile.FrameH} // no pixels: the scan reads past them
+	m.frames[2] = frame{pix: &raster.Gray{W: m.profile.FrameW, H: m.profile.FrameH}} // no pixels: the scan reads past them
 
 	before := runtime.NumGoroutine()
 	var r any

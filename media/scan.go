@@ -31,20 +31,32 @@ func (m *Medium) ScanFrame(i int) (*raster.Gray, error) {
 }
 
 // ScanFrameInto is the scan of frame i through the caller's scratch: the
-// resample, distortion and threshold stages render into the scratch
-// images instead of allocating full-resolution frames per scan. The
-// returned image aliases the scratch and is valid until the next call.
+// unpack, resample, distortion and threshold stages render into the
+// scratch images instead of allocating full-resolution frames per scan.
+// The returned image aliases the scratch and is valid until the next call.
 func (m *Medium) ScanFrameInto(s *ScanScratch, i int) (*raster.Gray, error) {
 	if i < 0 || i >= len(m.frames) {
 		return nil, fmt.Errorf("media: frame %d out of range", i)
 	}
-	cur := m.frames[i] // read-only: stored frames are never mutated here
-	if m.profile.ScanW != m.profile.FrameW || m.profile.ScanH != m.profile.FrameH {
+	d := m.profile.Scanner
+	d.Seed = scanSeed(d.Seed, i)
+	resize := m.profile.ScanW != m.profile.FrameW || m.profile.ScanH != m.profile.FrameH
+	cur := m.frames[i].pix // read-only: stored frames are never mutated here
+	if b := m.frames[i].bits; b != nil {
+		// Packed bits unpack into a buffer the scratch already uses: the
+		// warp reads s.blur before the blur pass reuses it, and every
+		// other first stage (the resample into s.stage, the blur, the
+		// photometry, the zero model) may start from s.out itself.
+		if !resize && d.warps() {
+			cur = b.UnpackInto(&s.blur)
+		} else {
+			cur = b.UnpackInto(&s.out)
+		}
+	}
+	if resize {
 		cur.ResizeInto(&s.stage, m.profile.ScanW, m.profile.ScanH)
 		cur = &s.stage
 	}
-	d := m.profile.Scanner
-	d.Seed = scanSeed(d.Seed, i)
 	out := d.applyInto(s, cur)
 	if m.profile.ScanBitonal {
 		out.ThresholdInto(out, out.OtsuThreshold())
@@ -53,19 +65,24 @@ func (m *Medium) ScanFrameInto(s *ScanScratch, i int) (*raster.Gray, error) {
 }
 
 // applyInto applies the distortion model to src, rendering into the
-// scratch: the result always lands in s.out (never aliasing src, and
-// src is never written), the geometry and blur stages ping-pong through
-// the scratch buffers, and the photometry and damage stages mutate s.out
-// in place. The stages run in a fixed order from one seeded random
+// scratch: the result always lands in s.out, the geometry and blur stages
+// ping-pong through the scratch buffers, and the photometry and damage
+// stages mutate s.out in place. src is another image, which is never
+// written, or a scratch buffer holding an unpacked frame: s.out when the
+// model does not warp, which the stages then work on in place, or s.blur
+// when it does. The stages run in a fixed order from one seeded random
 // stream — geometry, blur, photometry, damage — which is the whole
 // distortion model: Apply, ScanFrame and Reprint all run through here.
 func (d Distortions) applyInto(s *ScanScratch, src *raster.Gray) *raster.Gray {
 	if d.IsZero() {
+		if src == &s.out {
+			return src
+		}
 		return src.CopyInto(&s.out)
 	}
 	rng := rand.New(rand.NewSource(d.Seed))
 	cur := src
-	if d.RotationDeg != 0 || d.BarrelK != 0 || d.RowJitterPx != 0 {
+	if d.warps() {
 		s.jitter = rowJitterInto(rng, s.jitter, cur.H, d.RowJitterPx)
 		d.warpGeometry(cur, &s.out, s.jitter)
 		cur = &s.out
@@ -85,4 +102,9 @@ func (d Distortions) applyInto(s *ScanScratch, src *raster.Gray) *raster.Gray {
 		d.damageInPlace(cur, rng)
 	}
 	return cur
+}
+
+// warps reports whether the model has a geometry stage.
+func (d Distortions) warps() bool {
+	return d.RotationDeg != 0 || d.BarrelK != 0 || d.RowJitterPx != 0
 }

@@ -158,11 +158,7 @@ func (v *Volume) FillCatalog(s int, img *raster.Gray) error {
 func (v *Volume) cutSheet() {
 	m := New(v.profile)
 	for r := v.ReservedSlots(); r > 0; r-- {
-		fogged := raster.New(v.profile.FrameW, v.profile.FrameH)
-		for j := range fogged.Pix {
-			fogged.Pix[j] = 128
-		}
-		m.frames = append(m.frames, fogged)
+		m.frames = append(m.frames, fogged(v.profile))
 	}
 	v.sheets = append(v.sheets, m)
 }
@@ -264,7 +260,7 @@ func (v *Volume) WriteGroup(frames []*raster.Gray) error {
 }
 
 // Clone returns an independent volume: each sheet is cloned (sharing
-// frame pixels — see Medium.Clone), so damaging or reprinting the clone
+// stored frames — see Medium.Clone), so damaging or reprinting the clone
 // never touches the original. One archive can feed many damage trials.
 func (v *Volume) Clone() *Volume {
 	out := &Volume{profile: v.profile, sheetFrames: v.sheetFrames, catalog: v.catalog, index: v.index}
@@ -294,12 +290,12 @@ func (v *Volume) SetScanner(d Distortions) {
 func (v *Volume) Reprint() (*Volume, error) {
 	out := &Volume{profile: v.profile, sheetFrames: v.sheetFrames, catalog: v.catalog, index: v.index}
 	out.sheets = make([]*Medium, len(v.sheets))
-	type frame struct{ sheet, index int }
-	var plan []frame
+	type address struct{ sheet, index int }
+	var plan []address
 	for s, m := range v.sheets {
-		out.sheets[s] = &Medium{profile: m.profile, frames: make([]*raster.Gray, len(m.frames))}
+		out.sheets[s] = &Medium{profile: m.profile, frames: make([]frame, len(m.frames))}
 		for i := range m.frames {
-			plan = append(plan, frame{s, i})
+			plan = append(plan, address{s, i})
 		}
 	}
 	err := slots.ForEach(context.TODO(), 0, len(plan), func(ctx context.Context, _, k int) error {

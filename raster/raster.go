@@ -4,7 +4,8 @@
 //
 // Images are 8-bit grayscale: 0 is black (exposed film / printed toner),
 // 255 is white. Bitonal media (microfilm writers, laser printers) use the
-// same type restricted to {0, 255}.
+// same type restricted to {0, 255}, and Bitonal keeps an image of at most
+// two levels at one bit per pixel.
 package raster
 
 import (
