@@ -190,15 +190,6 @@ func fogged(p Profile) frame {
 	}}
 }
 
-// gray returns the frame's pixels: the stored image itself, which must not
-// be written, or packed bits unpacked into a fresh image.
-func (f frame) gray() *raster.Gray {
-	if f.bits != nil {
-		return f.bits.UnpackInto(&raster.Gray{})
-	}
-	return f.pix
-}
-
 // New returns an empty medium for the profile.
 func New(p Profile) *Medium { return &Medium{profile: p} }
 
@@ -336,14 +327,21 @@ func scanSeed(base int64, i int) int64 {
 }
 
 // Damage applies additional distortion to a stored frame, modelling decay
-// or mishandling after writing. A packed frame is unpacked first; the
-// damaged frame is stored like any other, as pixels unless it still has
-// at most two grey levels.
+// or mishandling after writing: Apply, with a packed frame unpacked into
+// the scratch the distortion renders through rather than into an image
+// of its own. The damaged frame is stored like any other, as pixels
+// unless it still has at most two grey levels.
 func (m *Medium) Damage(i int, d Distortions) error {
 	if i < 0 || i >= len(m.frames) {
 		return fmt.Errorf("media: frame %d out of range", i)
 	}
-	m.frames[i] = stored(d.Apply(m.frames[i].gray()))
+	var s ScanScratch
+	src := m.frames[i].pix
+	if b := m.frames[i].bits; b != nil {
+		src = s.unpack(b, d.warps())
+	}
+	out := *d.applyInto(&s, src) // the header alone, as in Apply
+	m.frames[i] = stored(&out)
 	return nil
 }
 

@@ -43,15 +43,7 @@ func (m *Medium) ScanFrameInto(s *ScanScratch, i int) (*raster.Gray, error) {
 	resize := m.profile.ScanW != m.profile.FrameW || m.profile.ScanH != m.profile.FrameH
 	cur := m.frames[i].pix // read-only: stored frames are never mutated here
 	if b := m.frames[i].bits; b != nil {
-		// Packed bits unpack into a buffer the scratch already uses: the
-		// warp reads s.blur before the blur pass reuses it, and every
-		// other first stage (the resample into s.stage, the blur, the
-		// photometry, the zero model) may start from s.out itself.
-		if !resize && d.warps() {
-			cur = b.UnpackInto(&s.blur)
-		} else {
-			cur = b.UnpackInto(&s.out)
-		}
+		cur = s.unpack(b, !resize && d.warps())
 	}
 	if resize {
 		cur.ResizeInto(&s.stage, m.profile.ScanW, m.profile.ScanH)
@@ -102,6 +94,18 @@ func (d Distortions) applyInto(s *ScanScratch, src *raster.Gray) *raster.Gray {
 		d.damageInPlace(cur, rng)
 	}
 	return cur
+}
+
+// unpack unpacks b into a scratch buffer that the same scan of pixels
+// fills too and that applyInto may start from: s.blur when the first
+// stage is a warp, which reads it before the blur pass reuses it, and
+// s.out otherwise, where the resample into s.stage, the blur, the
+// photometry and the zero model may all start.
+func (s *ScanScratch) unpack(b *raster.Bitonal, warpFirst bool) *raster.Gray {
+	if warpFirst {
+		return b.UnpackInto(&s.blur)
+	}
+	return b.UnpackInto(&s.out)
 }
 
 // warps reports whether the model has a geometry stage.

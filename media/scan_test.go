@@ -64,33 +64,49 @@ func writeTestFrames(t *testing.T, p Profile, n int, seed int64) *Medium {
 // TestScanFrameIntoMatchesScanFrame pins the scratch-rendering scan to
 // ScanFrame across the profile matrix — resize, every distortion model,
 // bitonal quantisation — with one scratch reused for all frames of all
-// profiles, so stale state or stale sizing would be caught.
+// profiles, so stale state or stale sizing would be caught. The written
+// frames are stored packed; their pixel twins run through the same
+// checks, and a scan of a frame stored as pixels must neither alias nor
+// change it.
 func TestScanFrameIntoMatchesScanFrame(t *testing.T) {
 	var s ScanScratch
 	for _, p := range scanProfiles() {
-		m := writeTestFrames(t, p, 3, 7)
-		for i := 0; i < m.FrameCount(); i++ {
-			want, err := m.ScanFrame(i)
-			if err != nil {
-				t.Fatalf("%s: ScanFrame(%d): %v", p.Name, i, err)
+		packed := writeTestFrames(t, p, 3, 7)
+		for _, m := range []*Medium{packed, pixelTwin(packed)} {
+			stored := make([]*raster.Gray, len(m.frames))
+			for i, f := range m.frames {
+				if f.pix != nil {
+					stored[i] = f.pix.Clone()
+				}
 			}
-			got, err := m.ScanFrameInto(&s, i)
-			if err != nil {
-				t.Fatalf("%s: ScanFrameInto(%d): %v", p.Name, i, err)
+			for i := 0; i < m.FrameCount(); i++ {
+				want, err := m.ScanFrame(i)
+				if err != nil {
+					t.Fatalf("%s: ScanFrame(%d): %v", p.Name, i, err)
+				}
+				got, err := m.ScanFrameInto(&s, i)
+				if err != nil {
+					t.Fatalf("%s: ScanFrameInto(%d): %v", p.Name, i, err)
+				}
+				if !raster.Equal(got, want) {
+					t.Fatalf("%s: frame %d: ScanFrameInto differs from ScanFrame in %d pixels",
+						p.Name, i, raster.DiffCount(got, want))
+				}
+				if f := m.frames[i]; f.pix != nil && &got.Pix[0] == &f.pix.Pix[0] {
+					t.Fatalf("%s: frame %d: scan aliases the stored frame", p.Name, i)
+				}
 			}
-			if !raster.Equal(got, want) {
-				t.Fatalf("%s: frame %d: ScanFrameInto differs from ScanFrame in %d pixels",
-					p.Name, i, raster.DiffCount(got, want))
+			for i, f := range m.frames {
+				if f.pix != nil && !raster.Equal(f.pix, stored[i]) {
+					t.Fatalf("%s: frame %d: scanning changed the stored frame", p.Name, i)
+				}
 			}
-			if i < len(m.frames) && &got.Pix[0] == &m.frames[i].gray().Pix[0] {
-				t.Fatalf("%s: frame %d: scan aliases the stored frame", p.Name, i)
+			if _, err := m.ScanFrameInto(&s, -1); err == nil {
+				t.Fatalf("%s: negative index accepted", p.Name)
 			}
-		}
-		if _, err := m.ScanFrameInto(&s, -1); err == nil {
-			t.Fatalf("%s: negative index accepted", p.Name)
-		}
-		if _, err := m.ScanFrameInto(&s, m.FrameCount()); err == nil {
-			t.Fatalf("%s: out-of-range index accepted", p.Name)
+			if _, err := m.ScanFrameInto(&s, m.FrameCount()); err == nil {
+				t.Fatalf("%s: out-of-range index accepted", p.Name)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package media
 
 import (
+	"runtime"
 	"testing"
 
 	"microlonys/internal/emblem"
@@ -53,6 +54,15 @@ func testEmblems(t *testing.T, p Profile, n int) []*raster.Gray {
 		out[i] = img
 	}
 	return out
+}
+
+// gray returns the frame's pixels: the stored image itself, which must not
+// be written, or packed bits unpacked into a fresh image.
+func (f frame) gray() *raster.Gray {
+	if f.bits != nil {
+		return f.bits.UnpackInto(&raster.Gray{})
+	}
+	return f.pix
 }
 
 // pixelTwin returns m with every frame stored as pixels.
@@ -132,6 +142,45 @@ func TestDamagedFrameStaysPixels(t *testing.T) {
 	}
 	if m.frames[1].bits == nil {
 		t.Fatal("damaging frame 0 unpacked frame 1")
+	}
+}
+
+// TestDamageUnpacksIntoScratch: Damage unpacks a packed frame into the
+// scratch its distortion renders through, so damaging a packed frame
+// allocates no more bytes than damaging the same frame stored as pixels
+// (an image of its own would add W·H), for a model with and without a
+// warp or a blur, and for the zero model.
+func TestDamageUnpacksIntoScratch(t *testing.T) {
+	p := Tiny()
+	m := writeTestFrames(t, p, 1, 3)
+	twin := pixelTwin(m)
+	for _, d := range []Distortions{
+		{Seed: 1, BlurRadius: 1, Noise: 4},
+		{Seed: 2, RotationDeg: 0.2, BlurRadius: 1, DustSpecks: 2},
+		{Seed: 3, RowJitterPx: 0.4},
+		{},
+	} {
+		allocated := func(m *Medium) uint64 {
+			const runs = 4
+			f := m.frames[0]
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				m.frames[0] = f
+				if err := m.Damage(0, d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			return (after.TotalAlloc - before.TotalAlloc) / runs
+		}
+		packed, pixels := allocated(m), allocated(twin)
+		if packed > pixels+uint64(p.FrameW*p.FrameH/4) {
+			t.Fatalf("%+v: damaging a packed frame allocates %d B, a pixel frame %d B", d, packed, pixels)
+		}
+		if !raster.Equal(m.frames[0].gray(), twin.frames[0].gray()) {
+			t.Fatalf("%+v: a packed and a pixel frame damage differently", d)
+		}
 	}
 }
 

@@ -39,7 +39,8 @@ var spread = func() (t [256]uint64) {
 
 // Pack returns g at one bit per pixel, or false when g has a third grey
 // level. The levels are the first pixel's and the first pixel's that
-// differs from it; packWords then packs eight pixels per output byte.
+// differs from it; packBlocks then packs 32 pixels at a time, and the
+// pixels after its last whole block one by one.
 func Pack(g *Gray) (*Bitonal, bool) {
 	pix := g.Pix
 	n := len(pix)
@@ -63,15 +64,15 @@ func Pack(g *Gray) (*Bitonal, bool) {
 		lo, hi = hi, lo
 	}
 	b.Levels = [2]byte{lo, hi}
-	if !packWords(b.Bits, pix, lo, hi) {
+	i = packBlocks(b.Bits, pix, lo, hi)
+	if i < 0 {
 		return nil, false
 	}
-	full := n / 8
-	for i := 8 * full; i < n; i++ {
+	for ; i < n; i++ {
 		switch pix[i] {
 		case lo:
 		case hi:
-			b.Bits[full] |= 1 << (i - 8*full)
+			b.Bits[i/8] |= 1 << (i % 8)
 		default:
 			return nil, false
 		}
@@ -79,25 +80,34 @@ func Pack(g *Gray) (*Bitonal, bool) {
 	return b, true
 }
 
-// packWordsGo packs the len(pix)/8 whole words of pix into out, one byte
-// per eight pixels, and reports false at a third level; lo != hi. XOR with
-// the lower level leaves each byte lane 0 or lo^hi, bit k of that
-// difference marks the lanes that hold the higher level, a multiply
-// gathers the marks into the output byte, and a lane holding anything
-// else refuses the word. packWords is this loop, or a faster one where
-// the platform has it.
-func packWordsGo(out, pix []byte, lo, hi byte) bool {
-	base, diff := uint64(lo)*lanes, uint64(lo^hi)*lanes
-	k := uint(bits.TrailingZeros8(lo^hi)) & 7
-	for j := range out[:len(pix)/8] {
-		x := binary.LittleEndian.Uint64(pix[8*j:]) ^ base
-		s := x >> k & lanes
-		if x != s*0xff&diff {
-			return false
+// packBlocks packs the whole 32-pixel blocks of pix into out, four bytes a
+// block, and returns the number of pixels packed, or -1 at a block holding
+// a third level; lo != hi. Let k be the lowest bit of lo^hi. XOR with the
+// lower level leaves each byte lane 0 or lo^hi, so bit k of the lane marks
+// the higher level, and a lane holding anything else differs from that
+// bit times (lo^hi)>>k. A multiply by gather>>k moves the marks of a word
+// into its top byte.
+func packBlocks(out, pix []byte, lo, hi byte) int {
+	d := lo ^ hi
+	k := uint(bits.TrailingZeros8(d)) & 7
+	base, mark, g, dk := uint64(lo)*lanes, uint64(lanes)<<k, uint64(gather)>>k, uint64(d>>k)
+	n := 0
+	for len(pix) >= 32 && len(out) >= 4 {
+		x0 := binary.LittleEndian.Uint64(pix[0:8]) ^ base
+		x1 := binary.LittleEndian.Uint64(pix[8:16]) ^ base
+		x2 := binary.LittleEndian.Uint64(pix[16:24]) ^ base
+		x3 := binary.LittleEndian.Uint64(pix[24:32]) ^ base
+		t0, t1, t2, t3 := x0&mark, x1&mark, x2&mark, x3&mark
+		if (x0^t0*dk)|(x1^t1*dk)|(x2^t2*dk)|(x3^t3*dk) != 0 {
+			return -1
 		}
-		out[j] = byte(s * gather >> 56)
+		out[0] = byte(t0 * g >> 56)
+		out[1] = byte(t1 * g >> 56)
+		out[2] = byte(t2 * g >> 56)
+		out[3] = byte(t3 * g >> 56)
+		pix, out, n = pix[32:], out[4:], n+32
 	}
-	return true
+	return n
 }
 
 // UnpackInto writes b's pixels into dst, reusing dst's pixel buffer when

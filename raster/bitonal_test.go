@@ -37,12 +37,15 @@ func TestPackLayout(t *testing.T) {
 }
 
 // TestPackRefusesThirdLevel: a third level anywhere refuses the image —
-// in the first or last 16-pixel block, in a whole word after the blocks,
-// or in the tail after the last whole word.
+// in the first or last 32-pixel block, at either end of a word inside a
+// block, or in the pixels after the last whole block.
 func TestPackRefusesThirdLevel(t *testing.T) {
-	for _, wh := range [][2]int{{9, 13}, {25, 5}} {
+	for _, wh := range [][2]int{{9, 13}, {25, 5}, {16, 4}} {
 		n := wh[0] * wh[1]
-		for _, at := range []int{0, 7, 8, 15, 16, n/16*16 - 1, n / 16 * 16, n/8*8 - 1, n / 8 * 8, n - 1} {
+		for _, at := range []int{0, 7, 8, 31, 32, n/32*32 - 1, n / 32 * 32, n - 1} {
+			if at >= n {
+				continue
+			}
 			g := New(wh[0], wh[1])
 			g.Pix[3] = 0
 			g.Pix[at] = 77
@@ -57,9 +60,9 @@ func TestPackRefusesThirdLevel(t *testing.T) {
 // has at most two grey levels, into ⌈W·H/8⌉ bytes with the spare bits
 // clear and the levels ordered, and UnpackInto restores the image byte
 // for byte into a dirty destination of another size. Sizes run past the
-// word boundaries, and pixel i takes levels[sel[i%len(sel)] % len(levels)]
-// of at most three levels, which may coincide. packWords, the platform's
-// word loop, must agree with the portable packWordsGo on every image.
+// block and word boundaries, and pixel i takes
+// levels[sel[i%len(sel)] % len(levels)] of at most three levels, which
+// may coincide.
 func FuzzPack(f *testing.F) {
 	f.Add(uint16(1), uint16(1), []byte{9}, []byte{0})
 	f.Add(uint16(13), uint16(1), []byte{0, 255, 7}, []byte{0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 2})
@@ -84,15 +87,6 @@ func FuzzPack(f *testing.F) {
 			}
 			g.Pix[i] = levels[k]
 		}
-		if lo, hi := levels[0], levels[len(levels)-1]; lo != hi {
-			n := len(g.Pix) / 8
-			fast, slow := make([]byte, n), make([]byte, n)
-			okFast, okSlow := packWords(fast, g.Pix, lo, hi), packWordsGo(slow, g.Pix, lo, hi)
-			if okFast != okSlow || okFast && !bytes.Equal(fast, slow) {
-				t.Fatalf("%dx%d levels %d/%d: packWords ok %v, packWordsGo ok %v", g.W, g.H, lo, hi, okFast, okSlow)
-			}
-		}
-
 		var seen [256]bool
 		distinct := 0
 		for _, p := range g.Pix {
@@ -156,19 +150,6 @@ func BenchmarkPack(b *testing.B) {
 	b.SetBytes(int64(len(g.Pix)))
 	for b.Loop() {
 		if _, ok := Pack(g); !ok {
-			b.Fatal("emblem refused")
-		}
-	}
-}
-
-// BenchmarkPackWordsGo is the portable word loop alone over the same
-// frame, the loop packWords runs where no faster one exists.
-func BenchmarkPackWordsGo(b *testing.B) {
-	g := emblemLike()
-	out := make([]byte, len(g.Pix)/8)
-	b.SetBytes(int64(len(g.Pix)))
-	for b.Loop() {
-		if !packWordsGo(out, g.Pix, 0, 255) {
 			b.Fatal("emblem refused")
 		}
 	}
