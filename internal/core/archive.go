@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"microlonys/dynarisc"
 	"microlonys/internal/archindex"
@@ -32,24 +31,22 @@ import (
 //	        planned one at a time (serial; owns all cross-frame state:
 //	        parity, header and index fixup)
 //	encode: group plan → rasterized emblems (parallel per frame)
-//	place:  emblems → the volume's sheets, in frame order, one whole group
-//	        per write (serial; a group never straddles a sheet)
+//	place:  emblems → the volume's sheets, one whole group per reserved
+//	        run (a group never straddles a sheet)
 //
-// The serial stages overlap the parallel middle at every worker count
-// (see pipelineGroups): the planner goroutine cuts groups and feeds frame
-// tasks to the encode pool while the placer consumes finished groups in
-// plan order, so planning group k+2, encoding group k+1 and writing
-// group k proceed concurrently instead of the planner and placer
-// stalling the pool at every group boundary.
+// Encode and place are one frame task (archiveFrames): the volume reserves
+// each planned group's run of positions on one sheet, and every frame of
+// the group encodes its emblem and stores it at its own position, packing
+// it there, on the frame pool. The catalog and index emblems are the same
+// task, one per sheet and kind, once every group is placed.
 //
 // The planner streams: it reads one group's worth of payload bytes at a
-// time and hands the group on before cutting the next, so peak memory is
-// bounded by the groups in flight — at most pipelineGroupDepth+2 (queue,
-// plus one being planned and one being placed) — not the whole archive's
-// frame list. Fixing headers and frame indices at planning time is what
-// keeps the encode fan-out trivially deterministic: workers only
-// rasterize, they never allocate indices or touch shared counters, and
-// the placer writes whole groups in the order the planner emitted them.
+// time and writes the group before cutting the next, so peak memory is
+// bounded by one group in flight, not the whole archive's frame list.
+// Fixing headers and frame indices at planning time is what keeps the
+// encode fan-out trivially deterministic: tasks only rasterize and store
+// at positions fixed before they start, they never allocate indices or
+// touch shared counters.
 
 // The archived decoder programs and the Bootstrap emulator are
 // deterministic builds of static assembly; build each once per process
@@ -89,7 +86,7 @@ type frameTask struct {
 
 // groupPlan is one outer-code group's worth of planned frames — data
 // emblems first, then parity — the unit the planner emits and the place
-// stage writes atomically onto a sheet.
+// stage reserves as one run on a sheet.
 type groupPlan struct {
 	tasks []frameTask
 }
@@ -212,9 +209,7 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		}
 	}
 
-	// Plan → encode → place. The layout fixes every group's frames and
-	// sheet before the first group is cut, so the pool never exceeds the
-	// frames there are to encode.
+	// Plan → encode and place, one group at a time.
 	p, err := newPlanner(opts, capacity, man, sections)
 	if err != nil {
 		return nil, err
@@ -230,11 +225,10 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
-	last := p.groups[len(p.groups)-1]
-	if err := pipelineGroups(p, sections, layout, vol, slots.Workers(opts.Workers, last.frame+last.size())); err != nil {
+	if err := p.plan(sections, func(gp groupPlan) error { return p.place(vol, gp) }); err != nil {
 		return nil, err
 	}
-	p.man.Sheets = last.sheet + 1
+	p.man.Sheets = p.groups[len(p.groups)-1].sheet + 1
 
 	// The deterministic archive identity both the catalog and the index
 	// carry; computable only once every group checksum is collected.
@@ -265,23 +259,12 @@ func CreateArchiveStream(r io.Reader, opts Options) (*Archived, error) {
 		}
 	}
 
-	// Catalog volumes: with every group placed the inventory is complete,
-	// so render each sheet's catalog emblem and back-patch the reserved
-	// slot 0 (byte-identical to having written it in sequence). The
-	// reserved emblems render here, serially, as one frame task: holding
-	// a slot and encoder scratch borrowed for it.
-	if opts.Catalog || opts.Index {
-		var err error
-		if serr := slots.Run(orBackground(opts.Context), func() {
-			sc := encPool.Get().(*encScratch)
-			err = p.fillReservedSlots(vol, capacity, sc, indexPayload)
-			encPool.Put(sc)
-		}); serr != nil {
-			return nil, serr
-		}
-		if err != nil {
-			return nil, err
-		}
+	// Catalog and index volumes: with every group placed the inventory is
+	// complete, so render each sheet's catalog and index emblems and
+	// back-patch its reserved slots (byte-identical to having written them
+	// in sequence).
+	if err := p.fillReservedSlots(vol, capacity, indexPayload); err != nil {
+		return nil, err
 	}
 
 	// Step 6: Bootstrap document.
@@ -509,170 +492,58 @@ func (p *planner) plan(sections []archiveSection, emit func(groupPlan) error) er
 	return nil
 }
 
-// pipelineGroupDepth bounds how far the planner may run ahead of the
-// placer, in whole queued groups. Frames in flight never exceed
-// (pipelineGroupDepth+2)·GroupTotal — the queue plus the group being
-// planned and the group being placed — which is the archive pipeline's
-// peak-memory bound.
-const pipelineGroupDepth = 2
-
-// plannedGroup is a groupPlan in flight through the pipelined archive:
-// the placer waits on done (closed when the encode pool has filled every
-// frame slot), then reports the lowest-index frame error or writes the
-// whole group to the volume.
-type plannedGroup struct {
-	tasks  []frameTask
-	frames []*raster.Gray
-	errs   []error
-	left   int64 // frames not yet encoded; the last encoder closes done
-	done   chan struct{}
+// place writes one planned group: the volume reserves the group's run of
+// positions on one sheet, and every frame stores its emblem at its own.
+func (p *planner) place(vol *media.Volume, gp groupPlan) error {
+	m, first, err := vol.ReserveGroup(len(gp.tasks))
+	if err != nil {
+		return fmt.Errorf("core: writing medium: %w", err)
+	}
+	return p.archiveFrames(gp.tasks, func(i int, img *raster.Gray) error {
+		if err := m.WriteAt(first+i, img); err != nil {
+			return fmt.Errorf("core: writing medium: %w", err)
+		}
+		return nil
+	})
 }
 
-// encodeTask is one frame of a plannedGroup awaiting rasterization.
-type encodeTask struct {
-	pg *plannedGroup
-	i  int
-}
-
-// pipelineGroups runs plan → encode → place with the serial stages
-// overlapped: a planner goroutine cuts groups and feeds the bounded
-// groups queue (plan order, pipelineGroupDepth deep) and the frame-task
-// channel; `workers` encode goroutines drain tasks into their group's
-// frame slots, each encode holding a process-wide frame slot (see
-// slots.Run); the placer — this goroutine — consumes the groups queue
-// in order, waiting per group for its last frame. Output is byte-
-// identical at any worker count: frame indices, headers and group order
-// are fixed at planning time, and the placer writes whole groups in plan
-// order. Errors are deterministic too — the first failing group in plan
-// order reports its lowest-index frame error (cancelling the rest), and a
-// planner error surfaces only once every group it emitted has been
-// placed. Cancellation of the caller's context stops the placer at the
-// next group and is returned as the context's error. A panic in the
-// planner, an encode or a write cancels the rest and is re-raised here
-// once the planner and the encoders have exited.
-func pipelineGroups(p *planner, sections []archiveSection, layout emblem.Layout, vol *media.Volume, workers int) error {
-	ctx, cancel := context.WithCancel(orBackground(p.opts.Context))
-	defer cancel()
-	var ps slots.Panics
-
-	groups := make(chan *plannedGroup, pipelineGroupDepth)
-	tasks := make(chan encodeTask, workers)
-
-	// Plan stage. Every group reaches the groups queue before its frame
-	// tasks are enqueued, so the queue order is the plan order. Once the
-	// context is cancelled the planner may stop between a group's tasks;
-	// the placer then stops waiting on done channels.
-	planErr := make(chan error, 1)
-	go func() {
-		defer close(groups)
-		defer close(tasks)
-		emit := func(gp groupPlan) error {
-			pg := &plannedGroup{
-				tasks:  gp.tasks,
-				frames: make([]*raster.Gray, len(gp.tasks)),
-				errs:   make([]error, len(gp.tasks)),
-				left:   int64(len(gp.tasks)),
-				done:   make(chan struct{}),
+// archiveFrames runs one frame task per emblem — data, parity, catalog and
+// index alike — that encodes tasks[i] and hands the image to store(i),
+// which packs it into the volume, holding a frame slot while it does and
+// encoder scratch borrowed for the encode. Output is byte-identical at any
+// worker count: headers and positions are fixed before the tasks start.
+// Every task runs even when another fails, so the lowest-index failure is
+// the one reported. Cancellation of the caller's context stops the tasks
+// still waiting for a slot and is returned as the context's error.
+func (p *planner) archiveFrames(tasks []frameTask, store func(i int, img *raster.Gray) error) error {
+	errs := make([]error, len(tasks))
+	err := slots.ForEach(orBackground(p.opts.Context), p.opts.Workers, len(tasks), func(ctx context.Context, _, i int) error {
+		return slots.Run(ctx, func() {
+			sc := encPool.Get().(*encScratch)
+			img, err := sc.enc.Encode(tasks[i].payload, tasks[i].hdr, p.opts.Profile.Layout)
+			encPool.Put(sc)
+			if err != nil {
+				errs[i] = fmt.Errorf("core: encoding %s: %w", emblemName(tasks[i].hdr.Kind), err)
+				return
 			}
-			select {
-			case groups <- pg:
-			case <-ctx.Done():
-				return ctx.Err()
-			}
-			for i := range pg.tasks {
-				select {
-				case tasks <- encodeTask{pg, i}:
-				case <-ctx.Done():
-					return ctx.Err()
-				}
-			}
-			return nil
+			errs[i] = store(i, img)
+		})
+	})
+	for _, e := range errs {
+		if err == nil && e != nil {
+			err = e
 		}
-		planErr <- ps.Run(cancel, func() error { return p.plan(sections, emit) })
-	}()
-
-	// Encode stage: the parallel middle. After cancellation the workers
-	// keep draining tasks without encoding so every group's done channel
-	// still closes.
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for t := range tasks {
-				if ctx.Err() == nil {
-					t.pg.errs[t.i] = ps.Run(cancel, func() error { return t.encode(ctx, layout) })
-				}
-				if atomic.AddInt64(&t.pg.left, -1) == 0 {
-					close(t.pg.done)
-				}
-			}
-		}()
-	}
-
-	// Place stage, on the calling goroutine. After an error it keeps
-	// draining the queue (without waiting) so the planner can unblock and
-	// observe the cancellation.
-	var placeErr error
-	for pg := range groups {
-		if placeErr != nil {
-			continue
-		}
-		select {
-		case <-pg.done:
-		case <-ctx.Done():
-		}
-		// A cancelled run may leave frames unencoded: never place them.
-		if placeErr = ctx.Err(); placeErr == nil {
-			for _, err := range pg.errs {
-				if err != nil {
-					placeErr = err
-					break
-				}
-			}
-		}
-		if placeErr == nil {
-			if err := ps.Run(cancel, func() error { return vol.WriteGroup(pg.frames) }); err != nil {
-				placeErr = fmt.Errorf("core: writing medium: %w", err)
-			}
-		}
-		if placeErr != nil {
-			cancel()
-		}
-	}
-	err := <-planErr
-	wg.Wait()
-	ps.Rethrow()
-	if placeErr != nil {
-		return placeErr
 	}
 	return err
 }
 
-// encode rasterizes the task's frame into its group's frame slot, holding
-// a frame slot and encoder scratch borrowed for it. A task cancelled
-// while it waits for a slot leaves the frame unencoded; the placer then
-// reports the context's error and never places the group.
-func (t encodeTask) encode(ctx context.Context, layout emblem.Layout) error {
-	ft := &t.pg.tasks[t.i]
-	var img *raster.Gray
-	var err error
-	if slots.Run(ctx, func() {
-		sc := encPool.Get().(*encScratch)
-		img, err = sc.enc.Encode(ft.payload, ft.hdr, layout)
-		encPool.Put(sc)
-	}) != nil {
-		return nil
+// emblemName is how archive errors name an emblem of kind k.
+func emblemName(k emblem.Kind) string {
+	switch k {
+	case emblem.KindParity, emblem.KindCatalog, emblem.KindIndex:
+		return k.String() + " emblem"
 	}
-	if err != nil {
-		kind := "emblem"
-		if ft.hdr.Kind == emblem.KindParity {
-			kind = "parity emblem"
-		}
-		return fmt.Errorf("core: encoding %s: %w", kind, err)
-	}
-	t.pg.frames[t.i] = img
-	return nil
+	return "emblem"
 }
 
 // orBackground resolves an optional caller context.
@@ -685,15 +556,15 @@ func orBackground(ctx context.Context) context.Context {
 
 // fillReservedSlots renders the catalog and index emblems the options ask
 // for into every sheet's reserved slots and counts them in the manifest.
-func (p *planner) fillReservedSlots(vol *media.Volume, capacity int, scratch *encScratch, indexPayload []byte) error {
+func (p *planner) fillReservedSlots(vol *media.Volume, capacity int, indexPayload []byte) error {
 	if p.opts.Catalog {
-		if err := p.fillCatalogs(vol, capacity, scratch, indexPayload); err != nil {
+		if err := p.fillCatalogs(vol, capacity, indexPayload); err != nil {
 			return err
 		}
 		p.man.CatalogFrames = p.man.Sheets
 	}
 	if p.opts.Index {
-		if err := p.fillIndexes(vol, indexPayload, scratch); err != nil {
+		if err := p.fillIndexes(vol, indexPayload); err != nil {
 			return err
 		}
 		p.man.IndexFrames = p.man.Sheets
@@ -705,7 +576,7 @@ func (p *planner) fillReservedSlots(vol *media.Volume, capacity int, scratch *en
 // identity, inventory, checksums, bootstrap replica — and back-patches
 // each sheet's reserved slot 0. Runs after placement, when the whole
 // inventory is known.
-func (p *planner) fillCatalogs(vol *media.Volume, capacity int, scratch *encScratch, indexPayload []byte) error {
+func (p *planner) fillCatalogs(vol *media.Volume, capacity int, indexPayload []byte) error {
 	emu, mo, _, err := archivedPrograms()
 	if err != nil {
 		return err
@@ -745,7 +616,7 @@ func (p *planner) fillCatalogs(vol *media.Volume, capacity int, scratch *encScra
 		IndexSlot:    p.opts.Index,
 		IndexReplica: indexPayload,
 	}
-	return p.fillReserved(vol, emblem.KindCatalog, emblem.CatalogGroupID, scratch,
+	return p.fillReserved(vol, emblem.KindCatalog, emblem.CatalogGroupID,
 		func(s int) ([]byte, error) {
 			c.Sheet = s
 			return c.Marshal(capacity)
@@ -757,39 +628,39 @@ func (p *planner) fillCatalogs(vol *media.Volume, capacity int, scratch *encScra
 // range query — and back-patches each sheet's reserved index slot. Runs
 // after placement, when the block and section tables and the archive
 // identity are final.
-func (p *planner) fillIndexes(vol *media.Volume, payload []byte, scratch *encScratch) error {
-	return p.fillReserved(vol, emblem.KindIndex, emblem.IndexGroupID, scratch,
+func (p *planner) fillIndexes(vol *media.Volume, payload []byte) error {
+	return p.fillReserved(vol, emblem.KindIndex, emblem.IndexGroupID,
 		func(int) ([]byte, error) { return payload, nil }, vol.FillIndex)
 }
 
 // fillReserved renders one out-of-band emblem of the given kind per sheet
-// and back-patches it into the sheet's reserved slot through fill. Serial,
-// on the caller's goroutine.
-func (p *planner) fillReserved(vol *media.Volume, kind emblem.Kind, groupID uint16, scratch *encScratch,
+// and back-patches it into the sheet's reserved slot through fill. The
+// payloads marshal in sheet order on the caller's goroutine; then every
+// sheet's emblem is one archiveFrames task.
+func (p *planner) fillReserved(vol *media.Volume, kind emblem.Kind, groupID uint16,
 	payload func(sheet int) ([]byte, error), fill func(sheet int, img *raster.Gray) error) error {
-	for s := 0; s < vol.Sheets(); s++ {
+	tasks := make([]frameTask, vol.Sheets())
+	for s := range tasks {
 		data, err := payload(s)
 		if err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
-		hdr := emblem.Header{
+		tasks[s] = frameTask{payload: data, hdr: emblem.Header{
 			Kind:    kind,
 			Index:   uint16(s),
-			Total:   uint16(vol.Sheets()),
+			Total:   uint16(len(tasks)),
 			GroupID: groupID,
 			// GroupData 0 marks the frame as belonging to no outer-code
 			// group; the assembler consumes it out-of-band.
 			TotalLen: uint32(len(data)),
-		}
-		img, err := scratch.enc.Encode(data, hdr, p.opts.Profile.Layout)
-		if err != nil {
-			return fmt.Errorf("core: encoding %s emblem: %w", kind, err)
-		}
+		}}
+	}
+	return p.archiveFrames(tasks, func(s int, img *raster.Gray) error {
 		if err := fill(s, img); err != nil {
 			return fmt.Errorf("core: placing %s emblem: %w", kind, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // namedSections derives the index's named byte ranges from the raw

@@ -8,8 +8,8 @@
 // Both directions are organised as explicit stage pipelines over
 // independent emblem frames:
 //
-//	archive:  split → encode frame → place on medium     (archive.go)
-//	restore:  scan → decode frame → reassemble           (engine.go, restore.go)
+//	archive:  plan group → encode frame + store on medium  (archive.go)
+//	restore:  scan → decode frame → reassemble             (engine.go, restore.go)
 //
 // One layout function (layoutGroups) decides where every outer-code group
 // lands; the archive planner cuts its groups and a query replays it from
@@ -17,13 +17,15 @@
 // queries, salvage — is one executor run (decodeFrames) over its own
 // frame plan, borrowing per-worker scan scratch from a pool.
 //
-// The split/plan and reassemble stages are serial (they carry the
-// cross-frame state: chunking, outer-code groups, stream totals); the
-// per-frame stages and DBCoder's restart blocks fan out over bounded
-// worker pools (internal/slots) sized by Options.Workers /
-// RestoreOptions.Workers, defaulting to GOMAXPROCS, each task holding one
-// of the process-wide frame slots. Frame order — and therefore every
-// produced byte — is identical at any worker count.
+// The plan and reassemble stages are serial (they carry the cross-frame
+// state: chunking, outer-code groups, stream totals); the per-frame
+// stages and DBCoder's restart blocks fan out over bounded worker pools
+// (internal/slots) sized by Options.Workers / RestoreOptions.Workers,
+// defaulting to GOMAXPROCS, each task holding one of the process-wide
+// frame slots. An archive frame task stores its emblem at the position
+// the volume reserved for it, and the restore consumer takes decoded
+// frames in plan order, so every produced byte is identical at any
+// worker count.
 package core
 
 import (
@@ -122,10 +124,10 @@ type Options struct {
 	IndexBlockBytes int
 
 	// Context, when non-nil, cancels the archive pipeline: DBCoder stops
-	// at the next restart block of an indexed archive, planning stops at
-	// the next group boundary, in-flight encodes drain, and CreateArchive
-	// returns the context's error. Nil means no external cancellation
-	// (context.Background()).
+	// at the next restart block of an indexed archive, frame tasks still
+	// waiting for a slot never start, planning stops at the next group
+	// boundary, and CreateArchive returns the context's error. Nil means
+	// no external cancellation (context.Background()).
 	Context context.Context
 }
 

@@ -147,11 +147,9 @@ func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan
 
 // frontier replays out-of-order completions in strict index order: the
 // parallel stage reports indices as they finish, drain walks the
-// contiguous prefix exactly once per index. It is the ordering half of
-// the pipelines' serial tail stages — the restore executor's consumer
-// drains one, and the archive placer is its
-// group-granular analogue (the planner emits groups in order, so the
-// placer's frontier is the channel itself).
+// contiguous prefix exactly once per index. It is the ordering half of the
+// restore executor's serial consumer. The archive needs none: each of its
+// frame tasks stores at a position fixed before the task starts.
 type frontier struct {
 	ready []bool
 	next  int

@@ -148,7 +148,7 @@ func TestSalvageForgedCatalogCounts(t *testing.T) {
 	}
 	c.TotalFrames = 1 << 22
 	p := &planner{opts: arch.Options}
-	if err := p.fillReserved(arch.Volume, emblem.KindCatalog, emblem.CatalogGroupID, &encScratch{},
+	if err := p.fillReserved(arch.Volume, emblem.KindCatalog, emblem.CatalogGroupID,
 		func(s int) ([]byte, error) {
 			c.Sheet = s
 			return c.Marshal(mocoder.Capacity(layout))

@@ -8,15 +8,17 @@ import (
 	"reflect"
 	"testing"
 
+	"microlonys/internal/emblem"
+	"microlonys/internal/mocoder"
 	"microlonys/internal/slots"
 	"microlonys/media"
 )
 
 // The stage-pipeline differential suite: with more than one worker the
-// archive runs its plan, encode and place stages overlapped through
-// bounded channels (pipelineGroups), and the restore consumer drains the
-// ordered frontier while frames are still decoding. Both must be
-// byte-identical to the pre-pipeline formulation — every stage strictly
+// archive encodes and stores every emblem as its own frame task, at
+// positions the volume reserved for its group, and the restore consumer
+// drains the ordered frontier while frames are still decoding. Both must
+// be byte-identical to the pre-pipeline formulation — every stage strictly
 // in sequence per group — at workers 1, 2 and 8, including the Partial
 // damaged-sheet path.
 
@@ -45,11 +47,14 @@ func prePipelineVolume(t *testing.T, data []byte, opts Options, workers int) *me
 	return vol
 }
 
-// volumeFingerprint hashes every scanned frame of every sheet. Scan
-// distortion is seeded by frame index, so identical written pixels scan
-// identically — any divergence in the placed frames shows up here.
+// volumeFingerprint concatenates the stored pixels of every frame of
+// every sheet: a clone read with a distortion-free scanner, which on a
+// profile scanned at frame size (media.Tiny()) returns them unchanged.
+// Any divergence in the placed frames shows up here.
 func volumeFingerprint(t *testing.T, v *media.Volume) []byte {
 	t.Helper()
+	v = v.Clone()
+	v.SetScanner(media.Distortions{})
 	var buf bytes.Buffer
 	for i := 0; i < v.FrameCount(); i++ {
 		img, err := v.ScanFrame(i)
@@ -98,6 +103,67 @@ func TestPipelinedArchiveMatchesPrePipeline(t *testing.T) {
 		}
 		if arch.BootstrapText != first.BootstrapText {
 			t.Fatalf("workers=%d: bootstrap text differs", workers)
+		}
+	}
+}
+
+// TestArchiveReservedEmblemsAcrossWorkers extends the archive
+// differential to the reserved positions: on a compressed multi-sheet
+// archive with a catalog and an index slot on every sheet, whose catalog
+// and index emblems encode as frame tasks beside each other, every stored
+// frame (reserved positions included), the manifest and the Bootstrap
+// text at workers 2 and 8 equal those at workers 1. Each sheet's reserved
+// positions hold its catalog and index emblems, not placeholders.
+func TestArchiveReservedEmblemsAcrossWorkers(t *testing.T) {
+	data := make([]byte, 12000)
+	rand.New(rand.NewSource(9)).Read(data)
+	base := DefaultOptions(media.Tiny())
+	base.SheetFrames = 24
+	base.Catalog, base.Index = true, true
+
+	var first *Archived
+	var ref []byte
+	for _, workers := range []int{1, 2, 8} {
+		opts := base
+		opts.Workers = workers
+		arch, err := CreateArchive(data, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if first == nil {
+			first, ref = arch, volumeFingerprint(t, arch.Volume)
+			continue
+		}
+		if !bytes.Equal(volumeFingerprint(t, arch.Volume), ref) {
+			t.Fatalf("workers=%d: written volume differs from workers=1", workers)
+		}
+		if arch.Manifest != first.Manifest {
+			t.Fatalf("workers=%d: manifest %+v != workers=1 %+v", workers, arch.Manifest, first.Manifest)
+		}
+		if arch.BootstrapText != first.BootstrapText {
+			t.Fatalf("workers=%d: bootstrap text differs", workers)
+		}
+	}
+
+	v := first.Volume.Clone()
+	v.SetScanner(media.Distortions{})
+	if v.Sheets() < 3 || first.Manifest.CatalogFrames != v.Sheets() || first.Manifest.IndexFrames != v.Sheets() {
+		t.Fatalf("want catalog and index frames on each of >= 3 sheets, got %d sheets, manifest %+v", v.Sheets(), first.Manifest)
+	}
+	for s := 0; s < v.Sheets(); s++ {
+		start, err := v.SheetStart(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for slot, kind := range []emblem.Kind{emblem.KindCatalog, emblem.KindIndex} {
+			img, err := v.ScanFrame(start + slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, hdr, _, err := mocoder.Decode(img, base.Profile.Layout)
+			if err != nil || hdr.Kind != kind || int(hdr.Index) != s {
+				t.Fatalf("sheet %d slot %d: kind %v index %d (err %v), want %v of sheet %d", s, slot, hdr.Kind, hdr.Index, err, kind, s)
+			}
 		}
 	}
 }

@@ -210,20 +210,11 @@ func TestFrontierOrdering(t *testing.T) {
 
 // ---- parallel vs serial determinism -----------------------------------
 
-// mediumFingerprint hashes every scanned frame. ScanFrame's distortion is
-// seeded by frame index, so identical written frames scan identically —
-// any divergence in written pixels shows up here.
+// mediumFingerprint is volumeFingerprint of the archive's single sheet:
+// its stored pixels, so any divergence in written pixels shows up here.
 func mediumFingerprint(t *testing.T, a *Archived) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	for i := 0; i < a.Medium.FrameCount(); i++ {
-		img, err := a.Medium.ScanFrame(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(img.Pix)
-	}
-	return buf.Bytes()
+	return volumeFingerprint(t, media.VolumeOf(a.Medium))
 }
 
 func TestArchiveParallelMatchesSerial(t *testing.T) {

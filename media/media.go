@@ -211,11 +211,12 @@ func (m *Medium) Write(frames []*raster.Gray) error {
 
 // WriteAt replaces frame i with a freshly written image, applying the
 // same writer-side quantisation and distortion Write would have at that
-// position (the writer seed depends only on the frame index). This is
-// the catalog back-patch hook: Volume reserves the first slot of each
-// sheet when the sheet is cut and fills it here once the whole volume
-// inventory is known — the replacement is byte-identical to having
-// written the image in sequence.
+// position (the writer seed depends only on the frame index), so the
+// replacement is byte-identical to having written the image in sequence.
+// It fills the positions a Volume reserves: a group's run (ReserveGroup)
+// and each sheet's catalog and index slots (FillCatalog, FillIndex). It
+// stores only frame i, so writes to distinct positions may run
+// concurrently while nothing appends to the medium.
 func (m *Medium) WriteAt(i int, f *raster.Gray) error {
 	if i < 0 || i >= len(m.frames) {
 		return fmt.Errorf("media: frame %d out of range", i)
@@ -233,7 +234,9 @@ func (m *Medium) WriteAt(i int, f *raster.Gray) error {
 // profile has it, packed when the result has at most two grey levels. The
 // result never aliases f — the medium owns its frames. A distortion-free
 // writer (every built-in profile) skips the distortion pass, and a clean
-// emblem packs straight from the caller's image without a copy.
+// emblem packs straight from the caller's image without a copy; a bitonal
+// writer quantises the distortion's private copy in place, or else maps
+// the packed levels of a clean emblem through the threshold.
 func (m *Medium) written(i int, f *raster.Gray) frame {
 	out := f
 	if d := m.profile.Writer; !d.IsZero() {
@@ -241,13 +244,36 @@ func (m *Medium) written(i int, f *raster.Gray) frame {
 		out = d.Apply(f)
 	}
 	if m.profile.WriteBitonal {
-		out = out.Threshold(out.OtsuThreshold())
+		t := out.OtsuThreshold()
+		if out != f {
+			return stored(out.ThresholdInto(out, t))
+		}
+		if b, ok := raster.Pack(f); ok {
+			return frame{bits: thresholdLevels(b, t)}
+		}
+		return stored(f.Threshold(t))
 	}
 	st := stored(out)
 	if st.pix == f {
 		st.pix = f.Clone()
 	}
 	return st
+}
+
+// thresholdLevels quantises packed frame b at t as Threshold does its
+// pixels: each level becomes 0 below t and 255 otherwise. When both become
+// the same value the frame has one level, so its bits are cleared.
+func thresholdLevels(b *raster.Bitonal, t byte) *raster.Bitonal {
+	for k, l := range b.Levels {
+		b.Levels[k] = 255
+		if l < t {
+			b.Levels[k] = 0
+		}
+	}
+	if b.Levels[0] == b.Levels[1] {
+		clear(b.Bits)
+	}
+	return b
 }
 
 // Truncate discards every frame from index n on — the fault model of a

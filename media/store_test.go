@@ -1,6 +1,7 @@
 package media
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -259,5 +260,67 @@ func TestPackedScanMatchesPixels(t *testing.T) {
 				t.Fatalf("%s: a zero-scanner scan of a packed frame allocates %v times", p.Name, n)
 			}
 		}
+	}
+}
+
+// TestBitonalWriterStoresWithoutCopy: a bitonal writer stores
+// Pack(Threshold(f)) at f's Otsu threshold — or, behind a writer
+// distortion, of the distorted frame — for frames of one, two and three
+// grey levels, levels one apart included, and leaves the caller's image
+// as it was. A clean emblem on Paper() is packed from the caller's image
+// with its levels mapped through the threshold, so writing it allocates
+// its bits and no thresholded copy: under W·H/4 bytes.
+func TestBitonalWriterStoresWithoutCopy(t *testing.T) {
+	p := scanProfiles()[3] // shrunk paper: a bitonal writer
+	levels := func(vs ...byte) *raster.Gray {
+		g := raster.New(p.FrameW, p.FrameH)
+		for i := range g.Pix {
+			g.Pix[i] = vs[i*7/5%len(vs)]
+		}
+		return g
+	}
+	frames := map[string]*raster.Gray{
+		"one-level":           levels(200),
+		"one-level-dark":      levels(3),
+		"two-level":           levels(0, 255),
+		"two-level-one-apart": levels(127, 128),
+		"two-level-grey":      levels(40, 90),
+		"three-level":         levels(0, 128, 255),
+		"three-one-apart":     levels(127, 128, 129),
+		"clean-emblem":        testEmblems(t, p, 1)[0],
+	}
+	for _, prof := range []Profile{p, bitonalWriterProfile()} {
+		for name, f := range frames {
+			before := f.Clone()
+			src := f
+			if d := prof.Writer; !d.IsZero() {
+				d.Seed = 3*7919 + 1
+				src = d.Apply(f)
+			}
+			want, ok := raster.Pack(src.Threshold(src.OtsuThreshold()))
+			if !ok {
+				t.Fatalf("%s/%s: a thresholded frame does not pack", prof.Name, name)
+			}
+			got := New(prof).written(3, f)
+			if got.pix != nil || got.bits == nil || got.bits.Levels != want.Levels || !bytes.Equal(got.bits.Bits, want.Bits) {
+				t.Fatalf("%s/%s: stored %+v levels, want Pack(Threshold(f)) with %v", prof.Name, name, got.bits, want.Levels)
+			}
+			if !raster.Equal(f, before) {
+				t.Fatalf("%s/%s: writing changed the caller's image", prof.Name, name)
+			}
+		}
+	}
+
+	paper := Paper()
+	img := testEmblems(t, paper, 1)[0]
+	m := New(paper)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := m.Write([]*raster.Gray{img}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(paper.FrameW*paper.FrameH/4); got >= limit {
+		t.Fatalf("writing one clean paper emblem allocated %d B, want under W·H/4 = %d B", got, limit)
 	}
 }

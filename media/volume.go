@@ -28,6 +28,7 @@ type Volume struct {
 	catalog     bool
 	index       bool
 	sheets      []*Medium
+	fog         frame // the placeholder every reserved position shares
 }
 
 // NewVolume returns an empty volume whose sheets hold at most sheetFrames
@@ -152,15 +153,24 @@ func (v *Volume) FillCatalog(s int, img *raster.Gray) error {
 }
 
 // cutSheet opens a fresh sheet, reserving its catalog and index slots when
-// enabled. Each placeholder is a fogged frame (unreadable if never filled —
-// the restore side treats it like any destroyed frame) replaced by
-// FillCatalog/FillIndex after placement.
+// enabled, to be filled by FillCatalog/FillIndex after placement.
 func (v *Volume) cutSheet() {
 	m := New(v.profile)
-	for r := v.ReservedSlots(); r > 0; r-- {
-		m.frames = append(m.frames, fogged(v.profile))
-	}
 	v.sheets = append(v.sheets, m)
+	v.reserve(m, v.ReservedSlots())
+}
+
+// reserve appends n positions to sheet m, each holding the volume's fogged
+// placeholder until it is filled: unreadable if never filled, so the
+// restore side treats it like any destroyed frame. A stored frame is never
+// written, so all of them share one placeholder.
+func (v *Volume) reserve(m *Medium, n int) {
+	if v.fog.bits == nil {
+		v.fog = fogged(v.profile)
+	}
+	for ; n > 0; n-- {
+		m.frames = append(m.frames, v.fog)
+	}
 }
 
 // Sheet returns sheet s.
@@ -240,23 +250,44 @@ func (v *Volume) Write(frames []*raster.Gray) error {
 	return nil
 }
 
-// WriteGroup writes frames as one indivisible run on a single sheet,
-// cutting a new sheet first if the open one lacks room. This is the
-// carrier-loss guarantee of the place stage: an outer-code group never
-// straddles a sheet, so losing a whole carrier costs only the groups on
-// it.
-func (v *Volume) WriteGroup(frames []*raster.Gray) error {
+// ReserveGroup reserves a run of n positions on a single sheet, cutting a
+// new sheet first if the open one lacks room, and returns that sheet and
+// the run's first local index. This is the carrier-loss guarantee of the
+// place stage: an outer-code group never straddles a sheet, so losing a
+// whole carrier costs only the groups on it. Medium.WriteAt fills the
+// positions in any order, concurrently too while nothing else writes to
+// the volume, since each write stores only its own position; until then
+// each holds a fogged placeholder.
+func (v *Volume) ReserveGroup(n int) (*Medium, int, error) {
 	usable := v.sheetFrames
 	if usable > 0 {
 		usable -= v.ReservedSlots() // leading slots belong to the catalog/index
 	}
-	if v.sheetFrames > 0 && len(frames) > usable {
-		return fmt.Errorf("media: group of %d frames exceeds sheet capacity %d", len(frames), usable)
+	if v.sheetFrames > 0 && n > usable {
+		return nil, 0, fmt.Errorf("media: group of %d frames exceeds sheet capacity %d", n, usable)
 	}
-	if v.room() < len(frames) {
+	if v.room() < n {
 		v.cutSheet()
 	}
-	return v.sheets[len(v.sheets)-1].Write(frames)
+	m := v.sheets[len(v.sheets)-1]
+	first := len(m.frames)
+	v.reserve(m, n)
+	return m, first, nil
+}
+
+// WriteGroup writes frames as one indivisible run on a single sheet: the
+// run ReserveGroup reserves, filled in order.
+func (v *Volume) WriteGroup(frames []*raster.Gray) error {
+	m, first, err := v.ReserveGroup(len(frames))
+	if err != nil {
+		return err
+	}
+	for i, f := range frames {
+		if err := m.WriteAt(first+i, f); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Clone returns an independent volume: each sheet is cloned (sharing
