@@ -8,9 +8,10 @@
 // archived volume, applies parameterized damage (distortion severity,
 // dust/tear density, lost-carrier fraction, or scan→print→scan
 // generational copies), restores with RestoreOptions.Partial at core
-// parallelism 1 into a per-worker output buffer (the core pools its scan
-// scratch, so trials reuse it), and scores the outcome — full recovery,
-// partial (with the stats' GroupsLost/BytesLost accounting), or failure.
+// parallelism 1 into the output buffer of the slots.ForEach worker that
+// runs it (the core pools its scan scratch, so trials reuse it), and
+// scores the outcome — full recovery, partial (with the stats'
+// GroupsLost/BytesLost accounting), or failure.
 // The internal/dnasim substrate runs the same sweeps through its
 // sequencing channel model, so every media profile of the ULE stack gets
 // a curve.
@@ -25,12 +26,13 @@ package campaign
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
+
+	"microlonys/internal/slots"
 )
 
 // Config parameterizes one campaign run.
@@ -147,8 +149,10 @@ func (c Config) normalize() Config {
 }
 
 // Run executes the campaign: every profile × supported axis × sweep point
-// × trial, fanned across Workers goroutines, aggregated into curves in
-// deterministic order.
+// × trial, one slots.ForEach item each at Workers workers, aggregated
+// into curves in deterministic order. Each worker reuses one output
+// buffer across its trials; a trial holds no frame slot itself, only the
+// frame tasks of its restore do.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
 	for _, a := range cfg.Axes {
@@ -201,30 +205,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	outcomes := make([]outcome, len(jobs))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	outs := make([]bytes.Buffer, slots.Workers(cfg.Workers, len(jobs))) // per worker: reused across trials
+	if err := slots.ForEach(context.Background(), cfg.Workers, len(jobs), func(_ context.Context, worker, i int) error {
+		j := &jobs[i]
+		outcomes[i] = j.runner.trial(j.axis, j.value, rand.New(rand.NewSource(j.seed)), &outs[worker])
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	workers = min(workers, len(jobs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var out bytes.Buffer // per-worker: reused across trials
-			for i := range next {
-				j := &jobs[i]
-				rng := rand.New(rand.NewSource(j.seed))
-				outcomes[i] = j.runner.trial(j.axis, j.value, rng, &out)
-			}
-		}()
-	}
-	for i := range jobs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 
 	// Aggregate in job order — deterministic at any worker count because
 	// each outcome lands in its own slot.

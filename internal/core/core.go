@@ -15,7 +15,8 @@
 // lands; the archive planner cuts its groups and a query replays it from
 // the index. Every restore entry point — full restore, range and table
 // queries, salvage — is one executor run (decodeFrames) over its own
-// frame plan, borrowing per-worker scan scratch from a pool.
+// frame plan, decoded one window at a time on scan scratch borrowed from
+// a pool.
 //
 // The plan and reassemble stages are serial (they carry the cross-frame
 // state: chunking, outer-code groups, stream totals); the per-frame
@@ -23,9 +24,9 @@
 // (internal/slots) sized by Options.Workers / RestoreOptions.Workers,
 // defaulting to GOMAXPROCS, each task holding one of the process-wide
 // frame slots. An archive frame task stores its emblem at the position
-// the volume reserved for it, and the restore consumer takes decoded
-// frames in plan order, so every produced byte is identical at any
-// worker count.
+// the volume reserved for it, and a restore's consumer takes each decoded
+// window in plan order on the caller's goroutine, so every produced byte
+// is identical at any worker count.
 package core
 
 import (

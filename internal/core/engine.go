@@ -67,6 +67,11 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 	return d, nil
 }
 
+// windowGroups sizes the restore executor's window: outer-code groups
+// of frames per worker. Eight keeps every worker busy to the window's end
+// on cores of unequal speed, and holds every query plan in one window.
+const windowGroups = 8
+
 // decodeFrames is the restore executor, and the one implementation of
 // every restore entry point: full restore, range and table queries, the
 // index listing and salvage all run the scan and decode stages of the
@@ -75,102 +80,49 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 // parallel per-frame task — a scan feeds exactly one decode, so splitting
 // them would only buffer full-resolution frame images between two stages
 // of the same fan-out — that runs holding a frame slot (slots.Run).
-// Workers decode frames in any order; one consumer goroutine drains an
-// ordered frontier and hands each result to consume in strict plan
-// order, then releases its payload (consume copies what it keeps).
-// Whatever consume builds is therefore identical at any worker count and
-// any load. A frame that fails to decode is a result, not an error — that
-// is what the outer code is for — but a frame that cannot even be
-// scanned, a consume error or cancellation stops the run; every such
-// error matches ErrRestore. A panic in a task or in consume stops the run
-// too, and is re-raised here once the workers and the consumer have
-// exited.
+// The plan runs one window at a time: one slots.ForEach decodes the
+// window's frames in any order, then consume takes them in strict plan
+// order on the caller's goroutine and each payload is released (consume
+// copies what it keeps). Whatever consume builds is therefore identical
+// at any worker count and any load, and a consume that stalls holds
+// neither a slot nor a worker. A frame that fails to decode is a result,
+// not an error — that is what the outer code is for — but a frame that
+// cannot even be scanned, a consume error or cancellation stops the run;
+// every such error matches ErrRestore. A panic in a task or in consume
+// reaches the caller with no worker left running.
 func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan []frameAddr, d *frameDecoder, consume func(k int, res *frameResult) error) error {
-	n := len(plan)
-	results := make([]frameResult, n)
-	// Sized so workers never block on a momentarily busy consumer: twice
-	// the live pool plus one group of slack.
-	completed := make(chan int, 2*slots.Workers(workers, n)+mocoder.GroupData+mocoder.GroupParity)
-
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var ps slots.Panics
-	consumerErr := make(chan error, 1)
-	go func() {
-		fr := newFrontier(n)
-		var cerr error
-		for k := range completed {
-			fr.complete(k)
-			fr.drain(func(k int) {
-				if cerr == nil {
-					// A panic is an error here, so the loop keeps draining
-					// and no worker blocks on a send nobody receives.
-					if cerr = ps.Run(cancel, func() error { return consume(k, &results[k]) }); cerr != nil {
-						cancel() // stop decoding frames nobody will consume
-					}
-				}
-				results[k] = frameResult{} // release the payload
-			})
-		}
-		consumerErr <- cerr
-	}()
-	// slots.ForEach re-raises a worker's panic; catching it here lets the
-	// consumer exit before it is raised again.
-	decErr := ps.Run(cancel, func() error {
-		return slots.ForEach(ctx, workers, n, func(ctx context.Context, _, k int) error {
-			a := plan[k]
+	window := windowGroups * (mocoder.GroupData + mocoder.GroupParity) * slots.Workers(workers, len(plan))
+	results := make([]frameResult, min(window, len(plan)))
+	for lo := 0; lo < len(plan); lo += window {
+		win := plan[lo:min(lo+window, len(plan))]
+		err := slots.ForEach(ctx, workers, len(win), func(ctx context.Context, _, i int) error {
+			a := win[i]
 			var err error
-			if slots.Run(ctx, func() { err = d.decode(sheets[a.sheet], a.slot, &results[k]) }) != nil {
+			if slots.Run(ctx, func() { err = d.decode(sheets[a.sheet], a.slot, &results[i]) }) != nil {
 				return nil // cancelled while waiting for a slot; slots.ForEach reports why
 			}
 			if err != nil {
 				return fmt.Errorf("%w: scanning sheet %d frame %d: %w", ErrRestore, a.sheet, a.slot, err)
 			}
-			completed <- k // after the slot is released: a stalled consumer holds none
 			return nil
 		})
-	})
-	close(completed)
-	cerr := <-consumerErr
-	ps.Rethrow()
-	if cerr != nil {
-		return cerr
+		if err != nil {
+			if !errors.Is(err, ErrRestore) {
+				// Cancellation: wrap so callers can match either
+				// ErrRestore or the context's error.
+				err = fmt.Errorf("%w: %w", ErrRestore, err)
+			}
+			return err
+		}
+		for i := range win {
+			if err := consume(lo+i, &results[i]); err != nil {
+				return err
+			}
+			results[i] = frameResult{} // release the payload
+		}
 	}
-	if decErr != nil && !errors.Is(decErr, ErrRestore) {
-		// Cancellation: wrap so callers can match either ErrRestore or the
-		// context's error.
-		return fmt.Errorf("%w: %w", ErrRestore, decErr)
-	}
-	return decErr
+	return nil
 }
-
-// frontier replays out-of-order completions in strict index order: the
-// parallel stage reports indices as they finish, drain walks the
-// contiguous prefix exactly once per index. It is the ordering half of the
-// restore executor's serial consumer. The archive needs none: each of its
-// frame tasks stores at a position fixed before the task starts.
-type frontier struct {
-	ready []bool
-	next  int
-}
-
-func newFrontier(n int) *frontier { return &frontier{ready: make([]bool, n)} }
-
-// complete marks index i finished. Each index must complete exactly once.
-func (f *frontier) complete(i int) { f.ready[i] = true }
-
-// drain calls fn(i) for every index that has become contiguous with the
-// already-drained prefix, in increasing order.
-func (f *frontier) drain(fn func(i int)) {
-	for f.next < len(f.ready) && f.ready[f.next] {
-		fn(f.next)
-		f.next++
-	}
-}
-
-// done reports whether every index has been drained.
-func (f *frontier) done() bool { return f.next == len(f.ready) }
 
 // decode scans and decodes slot of m into res on scratch borrowed for the
 // frame. Only a scan failure is an error: a failed decode is recorded in

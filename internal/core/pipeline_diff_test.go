@@ -16,11 +16,11 @@ import (
 
 // The stage-pipeline differential suite: with more than one worker the
 // archive encodes and stores every emblem as its own frame task, at
-// positions the volume reserved for its group, and the restore consumer
-// drains the ordered frontier while frames are still decoding. Both must
-// be byte-identical to the pre-pipeline formulation — every stage strictly
-// in sequence per group — at workers 1, 2 and 8, including the Partial
-// damaged-sheet path.
+// positions the volume reserved for its group, and the restore decodes
+// each window's frames in any order before its consumer takes them in
+// plan order. Both must be byte-identical to the pre-pipeline formulation
+// — every stage strictly in sequence per group — at workers 1, 2 and 8,
+// including the Partial damaged-sheet path.
 
 // prePipelineVolume is the pre-pipeline archive formulation, kept
 // verbatim: the planner emits groups one at a time, each group is

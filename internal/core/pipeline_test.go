@@ -173,41 +173,6 @@ func TestResolveWorkersCapsAtLiveCount(t *testing.T) {
 	}
 }
 
-// TestFrontierOrdering pins the ordered-frontier helper: out-of-order
-// completions drain in strict index order, each exactly once.
-func TestFrontierOrdering(t *testing.T) {
-	f := newFrontier(5)
-	var got []int
-	collect := func(i int) { got = append(got, i) }
-	f.complete(2)
-	f.drain(collect)
-	if len(got) != 0 {
-		t.Fatalf("drained %v before index 0 completed", got)
-	}
-	f.complete(0)
-	f.drain(collect)
-	f.complete(1)
-	f.complete(4)
-	f.drain(collect)
-	if f.done() {
-		t.Fatal("done with index 3 outstanding")
-	}
-	f.complete(3)
-	f.drain(collect)
-	want := []int{0, 1, 2, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("drained %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("drained %v, want %v", got, want)
-		}
-	}
-	if !f.done() {
-		t.Fatal("frontier not done after all indices drained")
-	}
-}
-
 // ---- parallel vs serial determinism -----------------------------------
 
 // mediumFingerprint is volumeFingerprint of the archive's single sheet:

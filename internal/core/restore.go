@@ -24,8 +24,9 @@ import (
 //	decode:     scan → header + payload, natively or under emulation
 //	reassemble: decoded frames → outer-code groups → streams → DBDecode
 //
-// Scan and decode run on the restore executor (decodeFrames), which hands
-// frames to the reassemble stage in plan order as the workers finish them.
+// Scan and decode run on the restore executor (decodeFrames), which
+// decodes the plan one window at a time and hands each window's frames to
+// the reassemble stage in plan order on the caller's goroutine.
 // Reassembly is group-incremental: the moment a group's last frame is
 // consumed the group is outer-recovered, trimmed and flushed — raw
 // archives stream straight to the caller's io.Writer, and a frame's

@@ -111,16 +111,17 @@ func TestSlotsCancelOneOfTwoRestores(t *testing.T) {
 	waitGoroutines(t, before)
 }
 
-// TestSlotsStalledSinkHoldsNone: a restore whose sink blocks parks its
-// workers on the way to its consumer, and a parked worker holds no frame
-// slot, so a range query on another volume still completes while the
-// sink is blocked. Once released, the stalled restore finishes intact.
+// TestSlotsStalledSinkHoldsNone: a restore's sink runs on its caller's
+// goroutine between windows, when none of its workers runs, so a sink
+// that blocks holds no frame slot and a range query on another volume
+// still completes while it is blocked. Once released, the stalled
+// restore finishes intact.
 func TestSlotsStalledSinkHoldsNone(t *testing.T) {
 	idx, idxData := indexedArchive(t, true)
 	idx.Volume.SetScanner(media.Distortions{})
 	stalled, stalledData := rawArchive(t, 30000)
-	// Enough frames that the workers park: past the group the sink blocks
-	// in, the consumer's buffer and one frame in each worker's hands.
+	// Enough frames that the sink blocks with more of them still to
+	// consume than two groups and three per slot.
 	if park := 3*runtime.GOMAXPROCS(0) + 2*(mocoder.GroupData+mocoder.GroupParity); stalled.Volume.FrameCount() <= park {
 		t.Fatalf("stalled volume has %d frames, want more than %d", stalled.Volume.FrameCount(), park)
 	}

@@ -388,20 +388,20 @@ type panickingWriter struct{}
 func (panickingWriter) Write([]byte) (int, error) { panic("injected sink panic") }
 
 // panickingReader is a sized archive source (Len, so the raw planner
-// reads it on its own goroutine) whose Read panics.
+// reads it group by group as it cuts them) whose Read panics.
 type panickingReader struct{}
 
 func (panickingReader) Len() int                 { return 30000 }
 func (panickingReader) Read([]byte) (int, error) { panic("injected source panic") }
 
-// TestPanicOnCoreGoroutines: a panic on a goroutine that a core call
-// started — the restore executor's consumer writing to the sink, the
-// archive planner reading the source — fails its job with ErrPanicked
-// instead of crashing the process. The snapshot names the panicking
-// method, and the next job on the same manager succeeds.
+// TestPanicOnCoreGoroutines: a panic inside a core call — the restore
+// executor's consumer writing to the sink, the archive planner reading
+// the source, both on the job's own goroutine — fails its job with
+// ErrPanicked instead of crashing the process. The snapshot names the
+// panicking method, and the next job on the same manager succeeds.
 func TestPanicOnCoreGoroutines(t *testing.T) {
 	raw := core.DefaultOptions(media.Tiny())
-	raw.Compress = false // raw restores write each group from the consumer goroutine
+	raw.Compress = false // raw restores write each group to the sink as it closes
 	data := testPayload(20000)
 	rawArch, err := core.CreateArchive(data, raw)
 	if err != nil {

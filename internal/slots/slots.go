@@ -12,7 +12,8 @@
 // jobs, campaign trials, a reprint beside two restores — run at once, at
 // most GOMAXPROCS tasks compute and at most that many sets of task
 // scratch are live. The package is a leaf: internal/core and media share
-// its one limiter.
+// its one limiter, and ForEach is the only fan-out of internal/core,
+// media and internal/campaign.
 package slots
 
 import (
@@ -33,11 +34,11 @@ var frameSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // Run runs task holding a slot, waiting for one until ctx is done; then it
 // returns ctx's error without running task. The slot is released when
-// task returns or panics, so a task must do no channel send, sink write or
-// slot wait of its own — a stalled consumer then holds no slot, and no
-// task waits on another while holding one. Scratch a task borrows from a
-// pool goes back before the task returns, which is what caps live scratch
-// at the slot count.
+// task returns or panics, so a task must do no sink write or slot wait of
+// its own — a stalled sink then holds no slot, and no task waits on
+// another while holding one. Scratch a task borrows from a pool goes back
+// before the task returns, which is what caps live scratch at the slot
+// count.
 func Run(ctx context.Context, task func()) error {
 	select {
 	case frameSlots <- struct{}{}:
@@ -62,16 +63,16 @@ type panicked struct {
 
 func (p *panicked) Error() string { return fmt.Sprintf("%v\n\n%s", p.value, p.stack) }
 
-// Panics keeps the first panic among one call's goroutines. The zero
+// panics keeps the first panic among one ForEach call's workers. The zero
 // value is ready to use.
-type Panics struct {
+type panics struct {
 	first atomic.Pointer[panicked]
 }
 
 // Run returns fn's error. If fn panics, Run records the panic, cancels
 // the call so its other goroutines stop, and returns the panic as the
 // error. A panic re-raised by a nested call keeps its original stack.
-func (ps *Panics) Run(cancel context.CancelFunc, fn func() error) (err error) {
+func (ps *panics) Run(cancel context.CancelFunc, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p, ok := r.(*panicked)
@@ -88,7 +89,7 @@ func (ps *Panics) Run(cancel context.CancelFunc, fn func() error) (err error) {
 
 // Rethrow re-raises the recorded panic, if any. Call it only once every
 // goroutine that could record one has exited.
-func (ps *Panics) Rethrow() {
+func (ps *panics) Rethrow() {
 	if p := ps.first.Load(); p != nil {
 		panic(p)
 	}
@@ -140,7 +141,7 @@ func ForEach(ctx context.Context, workers, n int, fn func(ctx context.Context, w
 	var (
 		next     int64 = -1 // atomically claimed item cursor
 		wg       sync.WaitGroup
-		ps       Panics
+		ps       panics
 		mu       sync.Mutex
 		first    = n   // lowest failed index
 		firstErr error // its error

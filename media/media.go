@@ -159,6 +159,7 @@ func ProfileByName(name string) (Profile, error) {
 type Medium struct {
 	profile Profile
 	frames  []frame
+	fog     frame // the fogged placeholder Destroy stores, made on first use
 }
 
 // frame is one stored frame. A frame of at most two grey levels — every
@@ -298,7 +299,7 @@ func (m *Medium) FrameCount() int { return len(m.frames) }
 // the original. The damage-campaign harness clones one archived medium
 // per randomized trial instead of re-archiving.
 func (m *Medium) Clone() *Medium {
-	return &Medium{profile: m.profile, frames: append([]frame(nil), m.frames...)}
+	return &Medium{profile: m.profile, frames: append([]frame(nil), m.frames...), fog: m.fog}
 }
 
 // SetScanner replaces the medium's scanner distortion model — the
@@ -372,12 +373,17 @@ func (m *Medium) Damage(i int, d Distortions) error {
 }
 
 // Destroy makes a frame unreadable altogether (torn page, burnt frame) —
-// the whole-emblem failure the outer code exists for.
+// the whole-emblem failure the outer code exists for. Every destroyed
+// frame stores the medium's one fogged placeholder, which its clones and,
+// on a volume's sheets, its reserved positions share.
 func (m *Medium) Destroy(i int) error {
 	if i < 0 || i >= len(m.frames) {
 		return fmt.Errorf("media: frame %d out of range", i)
 	}
-	m.frames[i] = fogged(m.profile)
+	if m.fog.bits == nil {
+		m.fog = fogged(m.profile)
+	}
+	m.frames[i] = m.fog
 	return nil
 }
 

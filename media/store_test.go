@@ -324,3 +324,55 @@ func TestBitonalWriterStoresWithoutCopy(t *testing.T) {
 		t.Fatalf("writing one clean paper emblem allocated %d B, want under W·H/4 = %d B", got, limit)
 	}
 }
+
+// TestDestroySharesOnePlaceholder: every frame Destroy fogs stores the
+// medium's one placeholder, so losing a four-frame Paper() sheet allocates
+// at most one placeholder of W·H/8 bytes, plus its small header. On a
+// volume's sheet it is the placeholder the reserved positions hold, and a
+// clone shares it.
+func TestDestroySharesOnePlaceholder(t *testing.T) {
+	paper := Paper()
+	blank := raster.New(paper.FrameW, paper.FrameH)
+	m := New(paper)
+	if err := m.Write([]*raster.Gray{blank, blank, blank, blank}); err != nil {
+		t.Fatal(err)
+	}
+	placeholder := uint64(paper.FrameW*paper.FrameH+7) / 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := VolumeOf(m).DestroySheet(0); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, placeholder+1024; got > limit {
+		t.Fatalf("DestroySheet on four paper frames allocated %d B, want at most one placeholder (%d B)", got, placeholder)
+	}
+	for i := range m.frames {
+		if m.frames[i].bits != m.frames[0].bits {
+			t.Fatalf("destroyed frame %d stores a placeholder of its own", i)
+		}
+	}
+
+	v := NewVolume(Tiny(), 0)
+	if err := v.EnableCatalog(); err != nil {
+		t.Fatal(err)
+	}
+	img, _ := encodeFrame(t, Tiny(), 1, 0.5)
+	if err := v.Write([]*raster.Gray{img, img}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.Destroy(0, 2); err != nil {
+		t.Fatal(err)
+	}
+	sheet, _ := v.Sheet(0)
+	if sheet.frames[2].bits != sheet.frames[0].bits {
+		t.Fatal("a destroyed frame does not share the sheet's reserved placeholder")
+	}
+	cv := v.Clone()
+	if err := cv.Destroy(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if cs, _ := cv.Sheet(0); cs.frames[1].bits != sheet.frames[0].bits {
+		t.Fatal("a destroyed frame of a volume's clone does not share the placeholder")
+	}
+}

@@ -163,11 +163,13 @@ func (v *Volume) cutSheet() {
 // reserve appends n positions to sheet m, each holding the volume's fogged
 // placeholder until it is filled: unreadable if never filled, so the
 // restore side treats it like any destroyed frame. A stored frame is never
-// written, so all of them share one placeholder.
+// written, so all of them share one placeholder, and so do the frames
+// Destroy fogs on m.
 func (v *Volume) reserve(m *Medium, n int) {
 	if v.fog.bits == nil {
 		v.fog = fogged(v.profile)
 	}
+	m.fog = v.fog
 	for ; n > 0; n-- {
 		m.frames = append(m.frames, v.fog)
 	}
@@ -294,7 +296,7 @@ func (v *Volume) WriteGroup(frames []*raster.Gray) error {
 // stored frames — see Medium.Clone), so damaging or reprinting the clone
 // never touches the original. One archive can feed many damage trials.
 func (v *Volume) Clone() *Volume {
-	out := &Volume{profile: v.profile, sheetFrames: v.sheetFrames, catalog: v.catalog, index: v.index}
+	out := &Volume{profile: v.profile, sheetFrames: v.sheetFrames, catalog: v.catalog, index: v.index, fog: v.fog}
 	out.sheets = make([]*Medium, len(v.sheets))
 	for i, m := range v.sheets {
 		out.sheets[i] = m.Clone()
