@@ -67,10 +67,25 @@ func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) 
 	return d, nil
 }
 
-// windowGroups sizes the restore executor's window: outer-code groups
-// of frames per worker. Eight keeps every worker busy to the window's end
-// on cores of unequal speed, and holds every query plan in one window.
-const windowGroups = 8
+// windowGroups and windowBytes size the restore executor's window, the
+// frames it decodes before consume takes them. Eight outer-code groups of
+// frames per worker keep every worker busy to the window's end on cores
+// of unequal speed, and hold every query plan of small frames in one
+// window. A worker's share of a window holds at most windowBytes of
+// payload, though at least one frame: about one group of paper or cinema
+// frames, which carry over 40 KB each.
+const (
+	windowGroups = 8
+	windowBytes  = 1 << 20
+)
+
+// window is the executor's window, in frames, for a plan of n frames of
+// layout l at the given worker count.
+func window(workers, n int, l emblem.Layout) int {
+	perWorker := windowBytes / max(1, mocoder.Capacity(l))
+	perWorker = max(1, min(perWorker, windowGroups*(mocoder.GroupData+mocoder.GroupParity)))
+	return perWorker * slots.Workers(workers, n)
+}
 
 // decodeFrames is the restore executor, and the one implementation of
 // every restore entry point: full restore, range and table queries, the
@@ -91,10 +106,10 @@ const windowGroups = 8
 // every such error matches ErrRestore. A panic in a task or in consume
 // reaches the caller with no worker left running.
 func decodeFrames(ctx context.Context, workers int, sheets []*media.Medium, plan []frameAddr, d *frameDecoder, consume func(k int, res *frameResult) error) error {
-	window := windowGroups * (mocoder.GroupData + mocoder.GroupParity) * slots.Workers(workers, len(plan))
-	results := make([]frameResult, min(window, len(plan)))
-	for lo := 0; lo < len(plan); lo += window {
-		win := plan[lo:min(lo+window, len(plan))]
+	size := window(workers, len(plan), d.layout)
+	results := make([]frameResult, min(size, len(plan)))
+	for lo := 0; lo < len(plan); lo += size {
+		win := plan[lo:min(lo+size, len(plan))]
 		err := slots.ForEach(ctx, workers, len(win), func(ctx context.Context, _, i int) error {
 			a := win[i]
 			var err error

@@ -11,8 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
-	"microlonys/internal/slots"
 	"microlonys/media"
 	"microlonys/raster"
 )
@@ -72,17 +72,29 @@ func TestEngineMatchesOneShotAcrossTrials(t *testing.T) {
 }
 
 // Window boundaries: the restore executor decodes its plan one window at
-// a time (windowGroups outer-code groups of frames per worker) and
-// consumes each window in plan order once its frames are decoded. The
-// fixture is one pre-scanned raw media.Tiny() volume of at least three
-// windows at workers 1 and 2, on sheets of 100 frames, so sheet and
-// window boundaries fall apart, with a destroyed frame in several
-// windows. It is built once per test binary: CI repeats these tests
-// under the race detector.
+// a time (see window) and consumes each window in plan order once its
+// frames are decoded. A window of small frames is counted in groups, not
+// pixels, so the fixture is a raw volume of small clean frames
+// (windowProfile) of at least three windows at workers 1 and 2, on
+// sheets of 100 frames, so sheet and window boundaries fall apart, with a
+// destroyed frame in several windows. It is built once per test binary:
+// CI repeats these tests under the race detector.
+
+// windowProfile is a clean profile of 60×50-pixel frames carrying 18
+// bytes each, one pixel per module.
+func windowProfile() media.Profile {
+	l := emblem.Layout{DataW: 50, DataH: 40, PxPerModule: 1}
+	return media.Profile{
+		Name:   "window",
+		FrameW: l.ImageW(), FrameH: l.ImageH(),
+		ScanW: l.ImageW(), ScanH: l.ImageH(),
+		Layout: l,
+	}
+}
 
 var windowFixture struct {
 	once sync.Once
-	pre  *media.Volume // pre-scanned, damaged
+	vol  *media.Volume // damaged
 	boot string
 	ref  []byte        // referenceRestore's bytes
 	st   *RestoreStats // and stats
@@ -95,8 +107,8 @@ func windowVolume(t *testing.T) (*media.Volume, string, []byte, *RestoreStats) {
 	t.Helper()
 	fx := &windowFixture
 	fx.once.Do(func() {
-		capacity := mocoder.Capacity(media.Tiny().Layout)
-		opts := DefaultOptions(media.Tiny())
+		capacity := mocoder.Capacity(windowProfile().Layout)
+		opts := DefaultOptions(windowProfile())
 		opts.Compress = false
 		opts.SheetFrames = 100
 		// 32 full groups and a short one, 648 frames: three windows at
@@ -117,11 +129,11 @@ func windowVolume(t *testing.T) (*media.Volume, string, []byte, *RestoreStats) {
 				return
 			}
 		}
-		fx.pre, fx.boot = prescan(t, arch.Volume), arch.BootstrapText
-		one := media.New(fx.pre.Profile())
-		for i := 0; i < fx.pre.FrameCount() && fx.err == nil; i++ {
+		fx.vol, fx.boot = arch.Volume, arch.BootstrapText
+		one := media.New(fx.vol.Profile())
+		for i := 0; i < fx.vol.FrameCount() && fx.err == nil; i++ {
 			var f *raster.Gray
-			if f, fx.err = fx.pre.ScanFrame(i); fx.err == nil {
+			if f, fx.err = fx.vol.ScanFrame(i); fx.err == nil {
 				fx.err = one.Write([]*raster.Gray{f})
 			}
 		}
@@ -136,12 +148,25 @@ func windowVolume(t *testing.T) (*media.Volume, string, []byte, *RestoreStats) {
 	if fx.err != nil {
 		t.Fatal(fx.err)
 	}
-	return fx.pre, fx.boot, fx.ref, fx.st
+	return fx.vol, fx.boot, fx.ref, fx.st
 }
 
-// windowFrames is the executor's window at the given worker count.
-func windowFrames(workers, plan int) int {
-	return windowGroups * (mocoder.GroupData + mocoder.GroupParity) * slots.Workers(workers, plan)
+// TestWindowBoundsPayload: a window holds windowGroups groups of frames
+// per worker where they carry at most windowBytes of payload, fewer where
+// they would carry more, and never less than one frame per worker.
+func TestWindowBoundsPayload(t *testing.T) {
+	groupsFrames := windowGroups * (mocoder.GroupData + mocoder.GroupParity)
+	for _, p := range []media.Profile{windowProfile(), media.Tiny(), media.CinemaFilm(), media.Paper(), media.Microfilm()} {
+		capacity := mocoder.Capacity(p.Layout)
+		for _, workers := range []int{1, 2, 8} {
+			w := window(workers, 1<<20, p.Layout)
+			small := groupsFrames*capacity <= windowBytes
+			if w < workers || small && w != workers*groupsFrames ||
+				!small && (w >= workers*groupsFrames || w > workers && w*capacity > workers*windowBytes) {
+				t.Errorf("%s at workers %d: window of %d frames of %d bytes", p.Name, workers, w, capacity)
+			}
+		}
+	}
 }
 
 // TestExecutorWindows restores the window fixture at workers 1, 2 and 8.
@@ -157,14 +182,14 @@ func TestExecutorWindows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("decodes about eight restores' worth of frames")
 	}
-	pre, boot, ref, refSt := windowVolume(t)
-	n := pre.FrameCount()
-	groupBytes := mocoder.GroupData * mocoder.Capacity(media.Tiny().Layout)
+	vol, boot, ref, refSt := windowVolume(t)
+	n := vol.FrameCount()
+	groupBytes := mocoder.GroupData * mocoder.Capacity(windowProfile().Layout)
 	// groupAt is the stream offset of the group that opens at frame k.
 	groupAt := func(k int) int { return k / (mocoder.GroupData + mocoder.GroupParity) * groupBytes }
 	for _, workers := range []int{1, 2} {
-		if w := windowFrames(workers, n); n <= 2*w {
-			t.Fatalf("fixture has %d frames, want more than three windows of %d at workers %d", n, w, workers)
+		if w := window(workers, n, windowProfile().Layout); n <= 2*w {
+			t.Fatalf("fixture has %d frames, want at least three windows of %d at workers %d", n, w, workers)
 		}
 	}
 
@@ -185,13 +210,13 @@ func TestExecutorWindows(t *testing.T) {
 
 	var first *RestoreStats
 	for _, workers := range []int{1, 2, 8} {
-		win := windowFrames(workers, n)
+		win := window(workers, n, windowProfile().Layout)
 		ro := RestoreOptions{Mode: RestoreNative, Workers: workers}
 		before := runtime.NumGoroutine()
 
 		var s sink
 		s.fn = func(int) error { return nil }
-		st, err := RestoreToWriter(write(&s), pre, boot, ro)
+		st, err := RestoreToWriter(write(&s), vol, boot, ro)
 		if err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
 		}
@@ -203,7 +228,7 @@ func TestExecutorWindows(t *testing.T) {
 			t.Fatalf("workers %d: stats %+v != reference %+v", workers, st, refSt)
 		}
 		for sh := range st.Sheets {
-			if m, _ := pre.Sheet(sh); st.Sheets[sh].Frames != m.FrameCount() {
+			if m, _ := vol.Sheet(sh); st.Sheets[sh].Frames != m.FrameCount() {
 				t.Fatalf("workers %d: sheet %d counted %d frames, want %d", workers, sh, st.Sheets[sh].Frames, m.FrameCount())
 			}
 		}
@@ -223,7 +248,7 @@ func TestExecutorWindows(t *testing.T) {
 			}
 			return nil
 		}}
-		_, err = RestoreToWriter(write(&s), pre, boot, ro)
+		_, err = RestoreToWriter(write(&s), vol, boot, ro)
 		if !errors.Is(err, ErrRestore) || !errors.Is(err, errSink) {
 			t.Fatalf("workers %d: sink error: got %v, want ErrRestore wrapping the sink's error", workers, err)
 		}
@@ -247,7 +272,7 @@ func TestExecutorWindows(t *testing.T) {
 		}}
 		p := func() (p any) {
 			defer func() { p = recover() }()
-			RestoreToWriter(write(&s), pre, boot, ro)
+			RestoreToWriter(write(&s), vol, boot, ro)
 			return nil
 		}()
 		if p == nil || !strings.Contains(fmt.Sprint(p), "sink panicked") {
@@ -267,7 +292,7 @@ func TestExecutorWindows(t *testing.T) {
 			return nil
 		}}
 		ro.Context = ctx
-		_, err = RestoreToWriter(write(&s), pre, boot, ro)
+		_, err = RestoreToWriter(write(&s), vol, boot, ro)
 		cancel()
 		if !errors.Is(err, ErrRestore) || !errors.Is(err, context.Canceled) {
 			t.Fatalf("workers %d: cancelled: got %v, want ErrRestore wrapping context.Canceled", workers, err)

@@ -31,8 +31,9 @@ import (
 // consumed the group is outer-recovered, trimmed and flushed — raw
 // archives stream straight to the caller's io.Writer, and a frame's
 // payload is released as soon as its group closes, so peak memory is
-// bounded by the groups in flight instead of the whole archive. Full
-// restores, queries and salvage all assemble through the same assembler.
+// bounded by one window of payloads and the group in flight instead of
+// the whole archive. Full restores, queries and salvage all assemble
+// through the same assembler.
 
 // Restore runs the restoration pipeline (Figure 2b) against a scanned
 // medium and the Bootstrap text with default options. It returns the

@@ -120,8 +120,10 @@ func TestSlotsStalledSinkHoldsNone(t *testing.T) {
 	idx, idxData := indexedArchive(t, true)
 	idx.Volume.SetScanner(media.Distortions{})
 	stalled, stalledData := rawArchive(t, 30000)
-	// Enough frames that the sink blocks with more of them still to
-	// consume than two groups and three per slot.
+	// The sink blocks on its first write. The volume is one window at any
+	// worker count, so every frame is decoded by then; the guard below
+	// only keeps the volume several groups long. A sink that stalls
+	// between windows is TestExecutorWindows' cancellation case.
 	if park := 3*runtime.GOMAXPROCS(0) + 2*(mocoder.GroupData+mocoder.GroupParity); stalled.Volume.FrameCount() <= park {
 		t.Fatalf("stalled volume has %d frames, want more than %d", stalled.Volume.FrameCount(), park)
 	}
