@@ -46,10 +46,6 @@ type CPU struct {
 	// MaxSteps aborts runaway programs; 0 means no limit.
 	MaxSteps uint64
 
-	// Trace, when set, is invoked before each instruction with the
-	// current instruction word (for debugging decoder programs).
-	Trace func(c *CPU, instr uint16)
-
 	// dirtyHi is 1 + the highest memory word written through LoadProgram
 	// or a store since the last Reset, so Reset clears only touched
 	// memory instead of the whole array.
@@ -76,7 +72,7 @@ func NewCPU(memWords int) *CPU {
 // dirty high-water mark; and Out is truncated in place so its capacity
 // is reused. A Reset CPU behaves identically to a fresh NewCPU of the
 // same size (reset_test.go pins that, including after an error or a
-// step-limit abort). Configuration (MaxSteps, Trace) is preserved.
+// step-limit abort). Configuration (MaxSteps) is preserved.
 // Direct writes to Mem bypass the watermark — callers that poke memory
 // themselves must also clear it themselves.
 func (c *CPU) Reset() {
@@ -267,9 +263,6 @@ func (c *CPU) Step() error {
 		return ErrStepLimit
 	}
 	instr := c.Mem[c.PC]
-	if c.Trace != nil {
-		c.Trace(c, instr)
-	}
 	c.Steps++
 	c.PC++
 	op, rd, rs, mode := Decode(instr)
@@ -404,23 +397,12 @@ func (c *CPU) Step() error {
 // Run executes until HALT, an error, or the step limit.
 //
 // Run is the throughput path, built like verisc.Run: it inlines
-// fetch/decode and the direct-memory fast paths of LDI/LDM/STM, hoists
-// the Trace and MaxSteps checks out of the per-instruction common case
-// (a set Trace falls back to the Step loop; the step budget becomes a
-// pre-resolved local limit) and keeps no error formatting on the hot
-// path. Semantics are identical to calling Step in a loop — the
-// differential tests in run_test.go and internal/dynprog pin that
-// equivalence on the archived decoder programs.
+// fetch/decode and the direct-memory fast paths of LDI/LDM/STM, resolves
+// the step budget to a local limit up front and keeps no error
+// formatting on the hot path. Semantics are identical to calling Step in
+// a loop — the differential tests in run_test.go and internal/dynprog
+// pin that equivalence on the archived decoder programs.
 func (c *CPU) Run() error {
-	if c.Trace != nil {
-		for !c.Halted {
-			if err := c.Step(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
 	mem := c.Mem
 	memLen := uint32(len(mem))
 	limit := ^uint64(0)

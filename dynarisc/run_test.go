@@ -156,37 +156,6 @@ func TestRunStepEquivalenceProperty(t *testing.T) {
 	}
 }
 
-// TestRunTraceFallback checks that a set Trace hook still sees every
-// instruction (Run falls back to the Step loop) with unchanged results.
-func TestRunTraceFallback(t *testing.T) {
-	src := `
-	        LDI  R0, 5
-	        LDI  R1, 1
-	loop:   SUB  R0, R1
-	        JNZ  loop
-	        HALT
-	`
-	p, err := Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCPU(1 << 10)
-	if err := c.LoadProgram(p.Org, p.Words); err != nil {
-		t.Fatal(err)
-	}
-	traced := 0
-	c.Trace = func(*CPU, uint16) { traced++ }
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if uint64(traced) != c.Steps {
-		t.Fatalf("trace saw %d instructions, CPU stepped %d", traced, c.Steps)
-	}
-	if !c.Halted || c.R[0] != 0 {
-		t.Fatalf("traced run diverged: halted=%v R0=%d", c.Halted, c.R[0])
-	}
-}
-
 // TestRunStepLimit checks the hoisted budget check still aborts exactly
 // at the limit on both paths.
 func TestRunStepLimit(t *testing.T) {

@@ -198,71 +198,6 @@ func IsColumnar(blob []byte) bool {
 	return len(blob) >= 4 && string(blob[:4]) == Magic
 }
 
-// ColumnSection names one column's byte cover inside a pg_dump-style SQL
-// text archive for the selective-restore index. Columns are not contiguous
-// in a row-major dump — every row interleaves all of them — so a column's
-// minimal contiguous cover is its table's whole rows region; Off/Len are
-// that region's extent, shared by every column of the table.
-type ColumnSection struct {
-	Table  string
-	Column string
-	Off    int
-	Len    int
-}
-
-// ColumnSections locates every COPY block (the same boundary logic the
-// columnar encoder's split uses) and returns one named section per column,
-// in dump order.
-func ColumnSections(dump []byte) ([]ColumnSection, error) {
-	var out []ColumnSection
-	rest := dump
-	for {
-		idx := bytes.Index(rest, []byte("FROM stdin;\n"))
-		if idx < 0 {
-			break
-		}
-		hdrEnd := idx + len("FROM stdin;\n")
-		lineStart := bytes.LastIndexByte(rest[:idx], '\n') + 1
-		if !bytes.HasPrefix(rest[lineStart:], []byte("COPY ")) {
-			rest = rest[hdrEnd:]
-			continue
-		}
-		end := bytes.Index(rest[hdrEnd:], []byte("\\.\n"))
-		if end < 0 {
-			return nil, fmt.Errorf("%w: unterminated COPY block", ErrNotArchive)
-		}
-		header := string(rest[lineStart : idx+len("FROM stdin;")])
-		table, cols, err := parseCopyLine(header)
-		if err != nil {
-			return nil, err
-		}
-		off := len(dump) - len(rest) + hdrEnd
-		for _, c := range cols {
-			out = append(out, ColumnSection{Table: table, Column: c, Off: off, Len: end})
-		}
-		rest = rest[hdrEnd+end:]
-	}
-	if len(out) == 0 {
-		return nil, ErrNotArchive
-	}
-	return out, nil
-}
-
-// parseCopyLine splits a "COPY name (col, col) FROM stdin;" header.
-func parseCopyLine(line string) (table string, cols []string, err error) {
-	rest := strings.TrimPrefix(line, "COPY ")
-	open := strings.IndexByte(rest, '(')
-	closeP := strings.IndexByte(rest, ')')
-	if open < 0 || closeP < open {
-		return "", nil, fmt.Errorf("%w: bad COPY line %q", ErrNotArchive, line)
-	}
-	table = strings.TrimSpace(rest[:open])
-	for _, c := range strings.Split(rest[open+1:closeP], ",") {
-		cols = append(cols, strings.TrimSpace(c))
-	}
-	return table, cols, nil
-}
-
 // split separates the dump into frame text (with one marker byte per
 // COPY block) and the per-block row matrices.
 func split(dump []byte) ([]byte, []copyBlock, error) {

@@ -48,16 +48,17 @@ import (
 // at positions fixed before they start, they never allocate indices or
 // touch shared counters.
 
-// The archived decoder programs and the Bootstrap emulator are
-// deterministic builds of static assembly; build each once per process
-// instead of once per archive (they dominated CreateArchive's fixed cost
-// for small archives). All consumers treat the programs as read-only.
+// The archived programs (DBDecode, MODecode, the Bootstrap emulator) are
+// deterministic builds of static assembly and the catalog's replica is
+// theirs: each is built once per process, not per archive (they dominated
+// small archives' fixed cost), and every consumer treats it as read-only.
 var (
-	buildOnce sync.Once
-	builtEmu  *verisc.Program
-	builtMO   *dynarisc.Program
-	builtDB   *dynarisc.Program
-	buildErr  error
+	buildOnce    sync.Once
+	builtEmu     *verisc.Program
+	builtMO      *dynarisc.Program
+	builtDB      *dynarisc.Program
+	builtReplica []byte
+	buildErr     error
 )
 
 func archivedPrograms() (*verisc.Program, *dynarisc.Program, *dynarisc.Program, error) {
@@ -70,6 +71,7 @@ func archivedPrograms() (*verisc.Program, *dynarisc.Program, *dynarisc.Program, 
 			buildErr = fmt.Errorf("core: assembling MODecode: %w", buildErr)
 			return
 		}
+		builtReplica = catalog.EncodeEssentials(builtEmu, builtMO)
 		if builtDB, buildErr = dynprog.DBDecode(); buildErr != nil {
 			buildErr = fmt.Errorf("core: assembling DBDecode: %w", buildErr)
 		}
@@ -577,11 +579,9 @@ func (p *planner) fillReservedSlots(vol *media.Volume, capacity int, indexPayloa
 // each sheet's reserved slot 0. Runs after placement, when the whole
 // inventory is known.
 func (p *planner) fillCatalogs(vol *media.Volume, capacity int, indexPayload []byte) error {
-	emu, mo, _, err := archivedPrograms()
-	if err != nil {
+	if _, _, _, err := archivedPrograms(); err != nil {
 		return err
 	}
-	replica := catalog.EncodeEssentials(emu, mo)
 
 	// The inventory is the layout's: each sheet opens with its reserved
 	// slots and holds the groups laid out on it.
@@ -612,7 +612,7 @@ func (p *planner) fillCatalogs(vol *media.Volume, capacity int, indexPayload []b
 		Instructions: catalog.Instructions(),
 		Sheets:       sheets,
 		Groups:       p.sums,
-		Replica:      replica,
+		Replica:      builtReplica,
 		IndexSlot:    p.opts.Index,
 		IndexReplica: indexPayload,
 	}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
@@ -299,6 +300,74 @@ func TestExecutorWindows(t *testing.T) {
 		}
 		if s.got.Len() != end {
 			t.Fatalf("workers %d: cancelled at the end of window 1: %d bytes written, want %d", workers, s.got.Len(), end)
+		}
+		waitGoroutines(t, before)
+	}
+}
+
+// TestExecutorWindowsStalledSink: a sink that blocks on its first write
+// while windows remain stalls its restore whole. consume runs between
+// windows on the caller's goroutine, so no frame of the next window is
+// decoded while the sink waits: repeated snapshots count no frame task.
+// Released, the restore returns the bytes and full stats of an unstalled
+// one (which TestExecutorWindows pins equal at every worker count), and
+// no goroutine outlives it.
+func TestExecutorWindowsStalledSink(t *testing.T) {
+	if testing.Short() {
+		t.Skip("restores the window fixture three times")
+	}
+	vol, boot, ref, _ := windowVolume(t)
+	want, err := RestoreToWriter(writerFunc(func(p []byte) (int, error) { return len(p), nil }),
+		vol, boot, RestoreOptions{Mode: RestoreNative, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 1<<20)
+	for _, workers := range []int{1, 2} {
+		if w := window(workers, vol.FrameCount(), windowProfile().Layout); vol.FrameCount() <= w {
+			t.Fatalf("fixture has %d frames, want more than one window of %d at workers %d", vol.FrameCount(), w, workers)
+		}
+		before := runtime.NumGoroutine()
+		entered, release := make(chan struct{}), make(chan struct{})
+		var once, releaseOnce sync.Once
+		defer releaseOnce.Do(func() { close(release) }) // unblock the sink if the test fails
+		var got bytes.Buffer
+		sink := writerFunc(func(p []byte) (int, error) {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+			return got.Write(p)
+		})
+		type result struct {
+			st  *RestoreStats
+			err error
+		}
+		done := make(chan result, 1)
+		go func() {
+			st, err := RestoreToWriter(sink, vol, boot, RestoreOptions{Mode: RestoreNative, Workers: workers})
+			done <- result{st, err}
+		}()
+		select {
+		case <-entered:
+		case <-time.After(60 * time.Second):
+			t.Fatalf("workers %d: the restore never reached its sink", workers)
+		}
+		for deadline := time.Now().Add(200 * time.Millisecond); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if n := tasksNow(buf); n > 0 {
+				t.Fatalf("workers %d: %d frame tasks computed while the sink was blocked", workers, n)
+			}
+		}
+		releaseOnce.Do(func() { close(release) })
+		r := <-done
+		if r.err != nil {
+			t.Fatalf("workers %d: %v", workers, r.err)
+		}
+		if !bytes.Equal(got.Bytes(), ref) {
+			t.Fatalf("workers %d: bytes differ from the reference restore", workers)
+		}
+		if !reflect.DeepEqual(r.st, want) {
+			t.Fatalf("workers %d: stats %+v, unstalled %+v", workers, r.st, want)
 		}
 		waitGoroutines(t, before)
 	}

@@ -20,7 +20,6 @@ package emblem
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 )
 
 // Geometry constants, in modules.
@@ -152,14 +151,9 @@ func (l Layout) inCornerBox(x, y int) bool {
 
 // DataPath returns the serpentine module order of the data stream: even
 // rows run left to right, odd rows right to left, skipping the four corner
-// boxes. Encoder and decoder share this exact order. The path depends on
-// the layout alone, so it is computed once and shared read-only: callers
-// must not modify it. Only the last layout's path is kept, so a forged
-// layout pins no more than one path.
+// boxes. Encoder and decoder share this exact order. Each call builds the
+// path afresh; internal/mocoder builds it once per layout.
 func (l Layout) DataPath() []Point {
-	if c := lastPath.Load(); c != nil && c.layout == l {
-		return c.path
-	}
 	path := make([]Point, 0, l.DataW*l.DataH-4*CornerBox*CornerBox)
 	for y := 0; y < l.DataH; y++ {
 		if y%2 == 0 {
@@ -176,18 +170,8 @@ func (l Layout) DataPath() []Point {
 			}
 		}
 	}
-	lastPath.Store(&layoutPath{l, path})
 	return path
 }
-
-// layoutPath is one layout's data path, as DataPath shares it.
-type layoutPath struct {
-	layout Layout
-	path   []Point
-}
-
-// lastPath holds the last layout's data path.
-var lastPath atomic.Pointer[layoutPath]
 
 // StreamBits returns the number of data bits an emblem carries: each bit
 // occupies two modules (Differential Manchester halves).

@@ -36,20 +36,6 @@ func TestLayoutDerived(t *testing.T) {
 	}
 }
 
-// TestDataPathShared: DataPath computes a layout's path once and shares
-// it, and a different layout gets its own.
-func TestDataPathShared(t *testing.T) {
-	l := testLayout()
-	if a, b := l.DataPath(), l.DataPath(); &a[0] != &b[0] {
-		t.Fatal("DataPath recomputed the path of the same layout")
-	}
-	wide := l
-	wide.DataW += 2
-	if a, b := l.DataPath(), wide.DataPath(); len(b) != len(a)+2*l.DataH {
-		t.Fatalf("a layout two modules wider has a path of %d points, want %d", len(b), len(a)+2*l.DataH)
-	}
-}
-
 func TestDataPathProperties(t *testing.T) {
 	l := testLayout()
 	path := l.DataPath()

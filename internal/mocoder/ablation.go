@@ -23,19 +23,18 @@ func EncodeAbsolute(payload []byte, hdr emblem.Header, l emblem.Layout) (*raster
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	capBytes := Capacity(l)
-	if len(payload) > capBytes {
-		return nil, fmt.Errorf("mocoder: payload %d bytes exceeds capacity %d", len(payload), capBytes)
+	g := geometryFor(nil, l)
+	if len(payload) > g.capacity {
+		return nil, fmt.Errorf("mocoder: payload %d bytes exceeds capacity %d", len(payload), g.capacity)
 	}
 	hdr.Version = emblem.Version
 	hdr.PayloadLen = uint32(len(payload))
 
-	lens := blockLens(codedBytes(l))
-	padded := make([]byte, capBytes)
+	padded := make([]byte, g.capacity)
 	copy(padded, payload)
-	blocks := make([][]byte, len(lens))
+	blocks := make([][]byte, len(g.lens))
 	off := 0
-	for i, n := range lens {
+	for i, n := range g.lens {
 		blocks[i] = inner.EncodeFull(padded[off : off+n])
 		off += n
 	}
@@ -80,7 +79,7 @@ func EncodeAbsolute(payload []byte, hdr emblem.Header, l emblem.Layout) (*raster
 			}
 		}
 	}
-	path := l.DataPath()
+	path := g.path
 	r := bitio.NewReader(bits)
 	nbits := l.StreamBits()
 	for i := 0; i < nbits; i++ {
@@ -112,22 +111,22 @@ func DecodeAbsolute(img *raster.Gray, l emblem.Layout) ([]byte, emblem.Header, *
 	if err := l.Validate(); err != nil {
 		return nil, emblem.Header{}, nil, err
 	}
+	g := geometryFor(nil, l)
 	st := &Stats{}
 	st.Threshold = img.OtsuThreshold()
 
-	ds := &DecodeScratch{}
-	corners, err := findFrame(ds, img, st.Threshold, l)
+	corners, err := findFrame(&DecodeScratch{}, img, st.Threshold, l)
 	if err != nil {
 		return nil, emblem.Header{}, st, err
 	}
-	rot, mapper, err := orient(ds, img, st.Threshold, corners, l)
+	rot, mapper, err := orient(img, st.Threshold, corners, g)
 	if err != nil {
 		return nil, emblem.Header{}, st, err
 	}
 	st.Rotation = rot * 90
 
-	sm := newModuleSampler(img, mapper, ds, l)
-	path := l.DataPath()
+	sm := newModuleSampler(img, mapper, g)
+	path := g.path
 	nbits := l.StreamBits()
 	stream := make([]byte, (nbits+7)/8)
 	for i := 0; i < nbits; i++ {
@@ -147,9 +146,8 @@ func DecodeAbsolute(img *raster.Gray, l emblem.Layout) ([]byte, emblem.Header, *
 	if len(coded) > cb {
 		coded = coded[:cb]
 	}
-	lens := blockLens(cb)
-	blocks, _ := deinterleave(coded, make([]bool, len(coded)), lens)
-	payload := make([]byte, 0, Capacity(l))
+	blocks, _ := deinterleave(coded, make([]bool, len(coded)), g.lens)
+	payload := make([]byte, 0, g.capacity)
 	for i, cw := range blocks {
 		n, err := inner.Decode(cw, nil)
 		if err != nil {
@@ -157,7 +155,7 @@ func DecodeAbsolute(img *raster.Gray, l emblem.Layout) ([]byte, emblem.Header, *
 		}
 		st.BytesCorrected += n
 		st.BlocksDecoded++
-		payload = append(payload, cw[:lens[i]]...)
+		payload = append(payload, cw[:g.lens[i]]...)
 	}
 	if int(hdr.PayloadLen) > len(payload) {
 		return nil, hdr, st, fmt.Errorf("%w: header claims %d bytes", emblem.ErrHeader, hdr.PayloadLen)

@@ -52,9 +52,9 @@ func (m *bilinearMapper) mapUV(u, v float64) point {
 
 // moduleSampler samples data-region modules through a mapper with the
 // grid constants (border offset, grid span) hoisted once per decode and
-// the per-module grid coordinates u, v precomputed per tap (uTab/vTab,
-// cached per layout in the scratch) — ten divisions per module in the
-// demodulation loop become two table loads.
+// the per-module grid coordinates u, v precomputed per tap (the layout
+// geometry's uTab/vTab) — ten divisions per module in the demodulation
+// loop become two table loads.
 type moduleSampler struct {
 	img        *raster.Gray
 	m          bilinearMapper
@@ -62,16 +62,15 @@ type moduleSampler struct {
 	uTab, vTab []float64 // [mx*5+tap], [my*5+tap]: a module's five taps side by side
 }
 
-func newModuleSampler(img *raster.Gray, m bilinearMapper, s *DecodeScratch, l emblem.Layout) moduleSampler {
-	s.ensureSampleTabs(l)
+func newModuleSampler(img *raster.Gray, m bilinearMapper, g *geometry) moduleSampler {
 	return moduleSampler{
 		img:  img,
 		m:    m,
 		bm:   float64(emblem.BorderModules + emblem.SeparatorModules),
-		gw:   float64(l.GridW()),
-		gh:   float64(l.GridH()),
-		uTab: s.uTab,
-		vTab: s.vTab,
+		gw:   float64(g.layout.GridW()),
+		gh:   float64(g.layout.GridH()),
+		uTab: g.uTab,
+		vTab: g.vTab,
 	}
 }
 
@@ -155,25 +154,13 @@ type clockTap struct {
 // demodulation buffers (half-module levels, stream bytes, suspicion
 // flags, per-row clock offsets, the clock search's taps, probes and
 // scores), the deinterleave codeword storage, the inner-code decode
-// scratch, the frame-detection point buffers, and — cached per layout,
-// since they are pure geometry — the serpentine data path and the
-// per-row clock-boundary pairs (the path alone is megabytes per frame at
-// paper scale). A zero DecodeScratch is ready to use; it
-// must not be shared between concurrent decodes. In steady state (same
-// layout frame after frame — the restore scan stage) a DecodeWith
-// allocates only the returned payload and Stats.
+// scratch and the frame-detection point buffers, beside the layout's
+// shared geometry. A zero DecodeScratch is ready to use; it must not be
+// shared between concurrent decodes. In steady state (same layout frame
+// after frame — the restore scan stage) a DecodeWith allocates only the
+// returned payload and Stats.
 type DecodeScratch struct {
-	layout     emblem.Layout // layout the cached geometry belongs to
-	path       []emblem.Point
-	pairsByRow [][]clockPair
-
-	// Per-tap module grid coordinates, cached under their own layout key
-	// (geometry consumers like Rectify need these without paying for the
-	// data-path cache).
-	tabLayout  emblem.Layout
-	uTab, vTab []float64
-
-	lens     []int
+	geo      *geometry // the geometry of the layout last decoded
 	levels   []bool
 	stream   []byte
 	suspect  []bool
@@ -193,56 +180,6 @@ type DecodeScratch struct {
 	kept  []point
 }
 
-// ensureLayout refreshes the cached geometry when the layout changes.
-func (s *DecodeScratch) ensureLayout(l emblem.Layout) {
-	if s.path != nil && s.layout == l {
-		return
-	}
-	s.layout = l
-	s.path = l.DataPath()
-	// Differential Manchester places a level transition between the
-	// second half-module of each bit and the first half-module of the
-	// next, i.e. between consecutive even/odd positions of the serpentine
-	// path; serpentine turns (row changes) are skipped.
-	s.pairsByRow = make([][]clockPair, l.DataH)
-	for i := 1; i+1 < len(s.path); i += 2 {
-		a, b := s.path[i], s.path[i+1]
-		if a.Y == b.Y {
-			s.pairsByRow[a.Y] = append(s.pairsByRow[a.Y], clockPair{a, b})
-		}
-	}
-}
-
-// ensureSampleTabs refreshes the per-tap u/v coordinate tables: entry
-// [mx*5+k] (resp. [my*5+k]) holds exactly the grid coordinate sampleOff
-// computed inline before — (bm + m + 0.5 + tap)/gridSpan — so the
-// demodulation loop replaces its per-sample divisions with loads, and a
-// module's five taps sit side by side behind one bounds check.
-func (s *DecodeScratch) ensureSampleTabs(l emblem.Layout) {
-	if s.uTab != nil && s.tabLayout == l {
-		return
-	}
-	s.tabLayout = l
-	bm := float64(emblem.BorderModules + emblem.SeparatorModules)
-	gw, gh := float64(l.GridW()), float64(l.GridH())
-	if cap(s.uTab) < len(moduleOffsets)*l.DataW {
-		s.uTab = make([]float64, len(moduleOffsets)*l.DataW)
-	}
-	s.uTab = s.uTab[:len(moduleOffsets)*l.DataW]
-	if cap(s.vTab) < len(moduleOffsets)*l.DataH {
-		s.vTab = make([]float64, len(moduleOffsets)*l.DataH)
-	}
-	s.vTab = s.vTab[:len(moduleOffsets)*l.DataH]
-	for k, o := range moduleOffsets {
-		for mx := 0; mx < l.DataW; mx++ {
-			s.uTab[mx*len(moduleOffsets)+k] = (bm + float64(mx) + 0.5 + o[0]) / gw
-		}
-		for my := 0; my < l.DataH; my++ {
-			s.vTab[my*len(moduleOffsets)+k] = (bm + float64(my) + 0.5 + o[1]) / gh
-		}
-	}
-}
-
 // Decode locates the emblem in a scanned image, demodulates the data
 // stream and runs the inner Reed-Solomon correction. The caller supplies
 // the layout the emblem was produced with (recorded in the Bootstrap
@@ -258,7 +195,8 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 	if err := l.Validate(); err != nil {
 		return nil, emblem.Header{}, nil, err
 	}
-	s.ensureLayout(l)
+	s.geo = geometryFor(s.geo, l)
+	g := s.geo
 	st := &Stats{}
 	st.Threshold = img.OtsuThreshold()
 
@@ -267,22 +205,22 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 		return nil, emblem.Header{}, st, err
 	}
 
-	rot, mapper, err := orient(s, img, st.Threshold, corners, l)
+	rot, mapper, err := orient(img, st.Threshold, corners, g)
 	if err != nil {
 		return nil, emblem.Header{}, st, err
 	}
 	st.Rotation = rot * 90
 
-	sm := newModuleSampler(img, mapper, s, l)
+	sm := newModuleSampler(img, mapper, g)
 
 	// Local clock recovery (§3.1): Differential Manchester guarantees a
 	// transition at every bit boundary, so each data row's sampling phase
 	// can be re-locked against scanner transport jitter before the row is
 	// demodulated — the self-clocking advantage over absolute grids.
-	offs := clockOffsets(s, &sm, l)
+	offs := clockOffsets(s, &sm, g)
 
 	// Sample the data path and demodulate.
-	path := s.path
+	path := g.path
 	nbits := l.StreamBits()
 	if cap(s.levels) < 2*nbits {
 		s.levels = make([]bool, 2*nbits)
@@ -333,14 +271,8 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 	if len(coded) > cb {
 		coded = coded[:cb]
 	}
-	s.lens = appendBlockLens(s.lens[:0], cb)
-	blocks, erasures := deinterleaveInto(s, coded, codedSuspect)
-
-	capacity := 0
-	for _, n := range s.lens {
-		capacity += n
-	}
-	payload := make([]byte, 0, capacity)
+	blocks, erasures := deinterleaveInto(s, coded, codedSuspect, g.lens)
+	payload := make([]byte, 0, g.capacity)
 	for i, cw := range blocks {
 		eras := erasures[i]
 		if len(eras) > rs.InnerParity {
@@ -357,7 +289,7 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 		}
 		st.BytesCorrected += n
 		st.BlocksDecoded++
-		payload = append(payload, cw[:s.lens[i]]...)
+		payload = append(payload, cw[:g.lens[i]]...)
 	}
 
 	if int(hdr.PayloadLen) > len(payload) {
@@ -370,12 +302,12 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 // sampling offset that re-locks the grid on that row's clock signal.
 //
 // The offset that maximises the summed contrast across the guaranteed
-// bit-boundary transitions (cached per layout in the scratch) is the
-// row's local clock phase. Scanner transport jitter is smooth, so each
-// row's search window is centred on the previous row's estimate (a
-// first-order tracking loop, as in floppy-disk data separators).
-func clockOffsets(s *DecodeScratch, sm *moduleSampler, l emblem.Layout) []float64 {
-	pairsByRow := s.pairsByRow
+// bit-boundary transitions (the geometry's pairs) is the row's local
+// clock phase. Scanner transport jitter is smooth, so each row's search
+// window is centred on the previous row's estimate (a first-order
+// tracking loop, as in floppy-disk data separators).
+func clockOffsets(s *DecodeScratch, sm *moduleSampler, g *geometry) []float64 {
+	l, pairsByRow := g.layout, g.pairsByRow
 
 	// Image pixels per module, for scaling the search window.
 	p0 := sm.m.mapUV(sm.bm/sm.gw, 0.5)
@@ -676,7 +608,8 @@ func median(v []float64) float64 {
 // orient determines the emblem rotation by matching the four corner marks
 // under each of the four possible rotations, returning the rotation index
 // (multiples of 90° clockwise) and the grid→image mapper.
-func orient(s *DecodeScratch, img *raster.Gray, thr byte, corners [4]point, l emblem.Layout) (int, bilinearMapper, error) {
+func orient(img *raster.Gray, thr byte, corners [4]point, g *geometry) (int, bilinearMapper, error) {
+	l := g.layout
 	boxOrigins := [4][2]int{
 		{0, 0},
 		{l.DataW - emblem.CornerBox, 0},
@@ -691,7 +624,7 @@ func orient(s *DecodeScratch, img *raster.Gray, thr byte, corners [4]point, l em
 	fthr := float64(thr)
 	bestRot, bestScore := -1, 1<<30
 	for rot := 0; rot < 4; rot++ {
-		sm := newModuleSampler(img, mapperFor(corners, rot), s, l)
+		sm := newModuleSampler(img, mapperFor(corners, rot), g)
 		score := 0
 		// The mismatch count only grows, so a rotation that has already
 		// exceeded the best score cannot win (ties keep scoring, so the

@@ -550,8 +550,7 @@ func TestDeinterleaveIntoMatches(t *testing.T) {
 		}
 
 		wantB, wantE := deinterleave(stream, suspect, lens)
-		s.lens = append(s.lens[:0], lens...)
-		gotB, gotE := deinterleaveInto(&s, stream, suspect)
+		gotB, gotE := deinterleaveInto(&s, stream, suspect, lens)
 
 		if len(gotB) != len(wantB) || len(gotE) != len(wantE) {
 			t.Fatalf("trial %d: shape mismatch", trial)

@@ -20,6 +20,7 @@ package mocoder
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"microlonys/internal/emblem"
 	"microlonys/internal/rs"
@@ -36,11 +37,7 @@ var inner = rs.New(rs.InnerParity)
 // blockLens returns the data lengths of the inner RS blocks that fill the
 // coded-byte budget of the layout.
 func blockLens(codedBytes int) []int {
-	return appendBlockLens(nil, codedBytes)
-}
-
-// appendBlockLens is blockLens into a reused buffer.
-func appendBlockLens(lens []int, codedBytes int) []int {
+	var lens []int
 	full := codedBytes / rs.InnerTotal
 	rem := codedBytes % rs.InnerTotal
 	for i := 0; i < full; i++ {
@@ -70,6 +67,67 @@ func Capacity(l emblem.Layout) int {
 	return total
 }
 
+// geometry is what a layout fixes for MOCoder: the serpentine data path,
+// each data row's clock-boundary pairs, the module sampler's per-tap grid
+// coordinates and the inner-code block lengths. It is built once per
+// layout and read-only after, so encoders and decoders on any goroutine
+// share it (the path alone is megabytes at paper scale).
+type geometry struct {
+	layout     emblem.Layout
+	path       []emblem.Point
+	pairsByRow [][]clockPair
+	uTab, vTab []float64 // [mx*5+tap], [my*5+tap]: a module's five taps side by side
+	lens       []int     // inner-code block data lengths
+	capacity   int       // payload bytes, the sum of lens
+}
+
+// lastGeometry is the last layout's geometry. Only one is kept, so a
+// forged layout pins no more than one.
+var lastGeometry atomic.Pointer[geometry]
+
+// geometryFor returns l's geometry: g when it is l's, else the last
+// layout's when that is l, else a new one, which becomes the last.
+func geometryFor(g *geometry, l emblem.Layout) *geometry {
+	if g != nil && g.layout == l {
+		return g
+	}
+	if g = lastGeometry.Load(); g != nil && g.layout == l {
+		return g
+	}
+	g = &geometry{layout: l, path: l.DataPath(), lens: blockLens(codedBytes(l))}
+	for _, n := range g.lens {
+		g.capacity += n
+	}
+	// Differential Manchester places a level transition between the
+	// second half-module of each bit and the first half-module of the
+	// next, i.e. between consecutive even/odd positions of the serpentine
+	// path; serpentine turns (row changes) are skipped.
+	g.pairsByRow = make([][]clockPair, l.DataH)
+	for i := 1; i+1 < len(g.path); i += 2 {
+		a, b := g.path[i], g.path[i+1]
+		if a.Y == b.Y {
+			g.pairsByRow[a.Y] = append(g.pairsByRow[a.Y], clockPair{a, b})
+		}
+	}
+	// Tap entry [mx*5+k] (resp. [my*5+k]) holds exactly the grid
+	// coordinate (bm + m + 0.5 + tap)/gridSpan, so the demodulation loop
+	// loads what it would otherwise divide.
+	bm := float64(emblem.BorderModules + emblem.SeparatorModules)
+	gw, gh := float64(l.GridW()), float64(l.GridH())
+	g.uTab = make([]float64, len(moduleOffsets)*l.DataW)
+	g.vTab = make([]float64, len(moduleOffsets)*l.DataH)
+	for k, o := range moduleOffsets {
+		for mx := 0; mx < l.DataW; mx++ {
+			g.uTab[mx*len(moduleOffsets)+k] = (bm + float64(mx) + 0.5 + o[0]) / gw
+		}
+		for my := 0; my < l.DataH; my++ {
+			g.vTab[my*len(moduleOffsets)+k] = (bm + float64(my) + 0.5 + o[1]) / gh
+		}
+	}
+	lastGeometry.Store(g)
+	return g
+}
+
 // Encode renders payload into a fresh emblem image. The payload must fit
 // Capacity(l); the header's PayloadLen field is set from len(payload).
 func Encode(payload []byte, hdr emblem.Header, l emblem.Layout) (*raster.Gray, error) {
@@ -85,20 +143,18 @@ func EncodeDamaged(payload []byte, hdr emblem.Header, l emblem.Layout, corrupt f
 }
 
 // Encoder renders emblems through reusable per-frame scratch: the padded
-// payload, the inner-code codeword and interleave buffers, the serialized
-// bit stream and the cached serpentine data path. A zero Encoder is ready
-// to use; it must not be used concurrently. In steady state (same layout
-// frame after frame — the archival encode stage) an Encode allocates only
-// the returned image.
+// payload, the inner-code codeword and interleave buffers and the
+// serialized bit stream, beside the layout's shared geometry. A zero
+// Encoder is ready to use; it must not be used concurrently. In steady
+// state (same layout frame after frame — the archival encode stage) an
+// Encode allocates only the returned image.
 type Encoder struct {
-	layout emblem.Layout  // layout the cached fields below belong to
-	path   []emblem.Point // cached serpentine data path
-	lens   []int          // inner-code block data lengths
-	padded []byte         // payload padded to capacity
-	cw     []byte         // codewords, back to back
-	blocks [][]byte       // slice views into cw, one per codeword
-	stream []byte         // header copies + interleaved codewords
-	bits   []byte         // serialized stream bits incl. filler
+	geo    *geometry // the geometry of the layout last encoded
+	padded []byte    // payload padded to capacity
+	cw     []byte    // codewords, back to back
+	blocks [][]byte  // slice views into cw, one per codeword
+	stream []byte    // header copies + interleaved codewords
+	bits   []byte    // serialized stream bits incl. filler
 }
 
 // Encode is the package-level Encode through the encoder's scratch.
@@ -113,15 +169,9 @@ func (e *Encoder) EncodeDamaged(payload []byte, hdr emblem.Header, l emblem.Layo
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	if e.path == nil || e.layout != l {
-		e.layout = l
-		e.path = l.DataPath()
-	}
-	e.lens = appendBlockLens(e.lens[:0], codedBytes(l))
-	capBytes := 0
-	for _, n := range e.lens {
-		capBytes += n
-	}
+	e.geo = geometryFor(e.geo, l)
+	g := e.geo
+	capBytes := g.capacity
 	if capBytes == 0 {
 		return nil, fmt.Errorf("mocoder: layout %dx%d too small for any payload", l.DataW, l.DataH)
 	}
@@ -137,10 +187,7 @@ func (e *Encoder) EncodeDamaged(payload []byte, hdr emblem.Header, l emblem.Layo
 	for len(e.padded) < capBytes {
 		e.padded = append(e.padded, 0)
 	}
-	total := 0
-	for _, n := range e.lens {
-		total += n + rs.InnerParity
-	}
+	total := capBytes + len(g.lens)*rs.InnerParity
 	if cap(e.cw) < total {
 		e.cw = make([]byte, 0, total)
 	} else {
@@ -148,7 +195,7 @@ func (e *Encoder) EncodeDamaged(payload []byte, hdr emblem.Header, l emblem.Layo
 	}
 	e.blocks = e.blocks[:0]
 	off := 0
-	for _, n := range e.lens {
+	for _, n := range g.lens {
 		e.cw = append(e.cw, e.padded[off:off+n]...)
 		start := len(e.cw)
 		for i := 0; i < rs.InnerParity; i++ {
@@ -174,7 +221,7 @@ func (e *Encoder) EncodeDamaged(payload []byte, hdr emblem.Header, l emblem.Layo
 	// Serialize to bits, pad with alternating filler to the full path.
 	e.bits = appendStreamBits(e.bits[:0], e.stream, l.StreamBits())
 
-	return render(e.bits, l, e.path), nil
+	return render(e.bits, g), nil
 }
 
 // appendStreamBits appends stream followed by alternating 0/1 filler bits
@@ -265,8 +312,7 @@ func deinterleave(stream []byte, suspect []bool, lens []int) (blocks [][]byte, e
 // round-robin round while the round index is inside its codeword, so the
 // write index equals the round index — the same bytes deinterleave
 // produces (pinned by TestDeinterleaveIntoMatches).
-func deinterleaveInto(s *DecodeScratch, stream []byte, suspect []bool) (blocks [][]byte, erasures [][]int) {
-	lens := s.lens
+func deinterleaveInto(s *DecodeScratch, stream []byte, suspect []bool, lens []int) (blocks [][]byte, erasures [][]int) {
 	total, maxLen := 0, 0
 	for _, n := range lens {
 		cwLen := n + rs.InnerParity
@@ -316,14 +362,15 @@ func deinterleaveInto(s *DecodeScratch, stream []byte, suspect []bool) (blocks [
 	return s.blocks, er
 }
 
-// render paints the emblem: quiet zone, border ring, separator, corner
-// marks and the Differential-Manchester data modules. path must be
-// l.DataPath() (callers cache it across frames). Black data modules are
-// written as pixel rows straight into Pix, and the bit stream is read
-// inline — callers serialize exactly StreamBits bits, so there is no
-// out-of-bits path. The image is byte-identical to the per-module
-// FillRect reference formulation (pinned by TestEncodeFastRender).
-func render(bits []byte, l emblem.Layout, path []emblem.Point) *raster.Gray {
+// render paints the emblem of layout g.layout: quiet zone, border ring,
+// separator, corner marks and the Differential-Manchester data modules
+// along g.path. Black data modules are written as pixel rows straight
+// into Pix, and the bit stream is read inline — callers serialize exactly
+// StreamBits bits, so there is no out-of-bits path. The image is
+// byte-identical to the per-module FillRect reference formulation (pinned
+// by TestEncodeFastRender).
+func render(bits []byte, g *geometry) *raster.Gray {
+	l, path := g.layout, g.path
 	px := l.PxPerModule
 	img := raster.New(l.ImageW(), l.ImageH())
 	pix := img.Pix

@@ -22,12 +22,11 @@ func Rectify(img *raster.Gray, l emblem.Layout) (*raster.Gray, error) {
 		return nil, err
 	}
 	thr := img.OtsuThreshold()
-	ds := &DecodeScratch{}
-	corners, err := findFrame(ds, img, thr, l)
+	corners, err := findFrame(&DecodeScratch{}, img, thr, l)
 	if err != nil {
 		return nil, err
 	}
-	_, mapper, err := orient(ds, img, thr, corners, l)
+	_, mapper, err := orient(img, thr, corners, geometryFor(nil, l))
 	if err != nil {
 		return nil, err
 	}

@@ -98,9 +98,6 @@ func (v *Volume) EnableIndex() error {
 	return nil
 }
 
-// IndexEnabled reports whether sheets reserve an index slot.
-func (v *Volume) IndexEnabled() bool { return v.index }
-
 // ReservedSlots returns how many leading frames of every sheet are
 // reserved for out-of-band emblems (catalog, index).
 func (v *Volume) ReservedSlots() int { return v.reservedIf(v.index) }

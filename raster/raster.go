@@ -9,7 +9,6 @@
 package raster
 
 import (
-	"errors"
 	"fmt"
 	"image"
 	"image/png"
@@ -29,13 +28,18 @@ func New(w, h int) *Gray {
 		panic(fmt.Sprintf("raster: invalid size %dx%d", w, h))
 	}
 	g := &Gray{W: w, H: h, Pix: make([]byte, w*h)}
-	// Doubling copy: memmove-backed white fill (the byte-store loop shows
-	// up on multi-megapixel frames; Go only pattern-matches zero fills).
-	g.Pix[0] = 255
-	for n := 1; n < len(g.Pix); n *= 2 {
-		copy(g.Pix[n:], g.Pix[:n])
-	}
+	fill(g.Pix, 255)
 	return g
+}
+
+// fill sets every byte of b, which is not empty, to v by doubling copies:
+// memmove-backed, where a byte-store loop shows up on multi-megapixel
+// frames (Go only pattern-matches zero fills).
+func fill(b []byte, v byte) {
+	b[0] = v
+	for n := 1; n < len(b); n *= 2 {
+		copy(b[n:], b[:n])
+	}
 }
 
 // NewBlack returns an all-black image.
@@ -77,11 +81,11 @@ func (g *Gray) FillRect(x0, y0, x1, y1 int, v byte) {
 	if y1 > g.H {
 		y1 = g.H
 	}
+	if x0 >= x1 {
+		return
+	}
 	for y := y0; y < y1; y++ {
-		row := g.Pix[y*g.W : y*g.W+g.W]
-		for x := x0; x < x1; x++ {
-			row[x] = v
-		}
+		fill(g.Pix[y*g.W+x0:y*g.W+x1], v)
 	}
 }
 
@@ -648,39 +652,6 @@ func DecodePNG(r io.Reader) (*Gray, error) {
 			lum := (299*r16 + 587*g16 + 114*b16) / 1000
 			g.Pix[y*g.W+x] = byte(lum >> 8)
 		}
-	}
-	return g, nil
-}
-
-// EncodePGM writes the image as a binary PGM (P5), the "flat array of pixel
-// intensities" interchange format the Bootstrap document describes for
-// feeding scans to the emulated decoder.
-func (g *Gray) EncodePGM(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", g.W, g.H); err != nil {
-		return err
-	}
-	_, err := w.Write(g.Pix)
-	return err
-}
-
-// DecodePGM reads a binary PGM (P5).
-func DecodePGM(r io.Reader) (*Gray, error) {
-	var magic string
-	var w, h, maxv int
-	if _, err := fmt.Fscan(r, &magic, &w, &h, &maxv); err != nil {
-		return nil, fmt.Errorf("raster: bad PGM header: %w", err)
-	}
-	if magic != "P5" || maxv != 255 || w <= 0 || h <= 0 {
-		return nil, errors.New("raster: unsupported PGM variant")
-	}
-	// Single whitespace byte after maxval per spec.
-	var sep [1]byte
-	if _, err := io.ReadFull(r, sep[:]); err != nil {
-		return nil, err
-	}
-	g := &Gray{W: w, H: h, Pix: make([]byte, w*h)}
-	if _, err := io.ReadFull(r, g.Pix); err != nil {
-		return nil, fmt.Errorf("raster: short PGM payload: %w", err)
 	}
 	return g, nil
 }

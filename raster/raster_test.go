@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewIsWhite(t *testing.T) {
@@ -157,37 +156,6 @@ func TestPNGRoundTrip(t *testing.T) {
 	}
 	if !Equal(g, got) {
 		t.Fatal("PNG round trip")
-	}
-}
-
-func TestPGMRoundTrip(t *testing.T) {
-	f := func(wRaw, hRaw uint8, seed int64) bool {
-		w := int(wRaw)%30 + 1
-		h := int(hRaw)%30 + 1
-		g := New(w, h)
-		s := seed
-		for i := range g.Pix {
-			s = s*6364136223846793005 + 1442695040888963407
-			g.Pix[i] = byte(s >> 32)
-		}
-		var buf bytes.Buffer
-		if err := g.EncodePGM(&buf); err != nil {
-			return false
-		}
-		got, err := DecodePGM(&buf)
-		return err == nil && Equal(g, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPGMRejectsJunk(t *testing.T) {
-	if _, err := DecodePGM(bytes.NewReader([]byte("P6\n2 2\n255\n0000"))); err == nil {
-		t.Fatal("P6 accepted")
-	}
-	if _, err := DecodePGM(bytes.NewReader([]byte("P5\n2 2\n255\nX"))); err == nil {
-		t.Fatal("short payload accepted")
 	}
 }
 

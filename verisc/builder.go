@@ -12,12 +12,11 @@ type Program struct {
 	Labels map[string]uint32
 }
 
-// Ref is an address reference: absolute, or a label plus offset resolved
-// at Build time.
+// Ref is an address reference: absolute, or a label resolved at Build
+// time.
 type Ref struct {
 	abs   uint32
 	label string
-	off   int
 	isAbs bool
 }
 
@@ -26,9 +25,6 @@ func Abs(addr uint32) Ref { return Ref{abs: addr, isAbs: true} }
 
 // Lbl returns a label reference.
 func Lbl(name string) Ref { return Ref{label: name} }
-
-// LblOff returns a label reference with an offset.
-func LblOff(name string, off int) Ref { return Ref{label: name, off: off} }
 
 // Builder assembles VeRisc programs. Code is emitted sequentially from
 // the origin; constants, variables and address tables are appended after
@@ -343,13 +339,13 @@ func (b *Builder) Build() (*Program, error) {
 	}
 	resolve := func(r Ref) (uint32, error) {
 		if r.isAbs {
-			return r.abs + uint32(r.off), nil
+			return r.abs, nil
 		}
 		v, ok := b.labels[r.label]
 		if !ok {
 			return 0, fmt.Errorf("verisc builder: undefined label %q", r.label)
 		}
-		return v + uint32(r.off), nil
+		return v, nil
 	}
 	apply := func(fixups map[int]Ref) error {
 		idxs := make([]int, 0, len(fixups))
