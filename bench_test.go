@@ -781,13 +781,17 @@ func BenchmarkP4EmulatedRestore(b *testing.B) {
 				b.Skip("nested emulation is slow; skipped in -short mode")
 			}
 			b.ReportAllocs()
+			emu, err := nested.Program()
+			if err != nil {
+				b.Fatal(err)
+			}
 			r := nested.NewRunner()
-			if _, err := r.RunAppendBytes(nil, moProg, in, dynprog.MOMemWords(scan), 0); err != nil {
+			if _, err := r.RunAppendBytes(nil, emu, moProg, in, dynprog.MOMemWords(scan), 0); err != nil {
 				b.Fatal(err) // warm-up allocates the lazy machine
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				outB, err := r.RunAppendBytes(nil, moProg, in, dynprog.MOMemWords(scan), 0)
+				outB, err := r.RunAppendBytes(nil, emu, moProg, in, dynprog.MOMemWords(scan), 0)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -184,8 +184,11 @@ func (r *visualRunner) trial(axis string, value float64, rng *rand.Rand, out *by
 	vol.SetScanner(scanner)
 
 	out.Reset()
-	st, err := core.RestoreToWriter(out, vol, r.bootstrap,
-		core.RestoreOptions{Mode: core.RestoreNative, Workers: 1, Partial: true})
+	var st *core.RestoreStats
+	rd, err := core.Open(vol, r.bootstrap, core.RestoreOptions{Mode: core.RestoreNative, Workers: 1, Partial: true})
+	if err == nil {
+		st, err = rd.Restore(out)
+	}
 	o := outcome{}
 	if st != nil {
 		o.groupsLost = st.GroupsLost

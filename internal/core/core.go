@@ -13,10 +13,12 @@
 //
 // One layout function (layoutGroups) decides where every outer-code group
 // lands; the archive planner cuts its groups and a query replays it from
-// the index. Every restore entry point — full restore, range and table
-// queries, salvage — is one executor run (decodeFrames) over its own
-// frame plan, decoded one window at a time on scan scratch borrowed from
-// a pool.
+// the index. Restoration starts from the Bootstrap alone: Open parses it
+// once and returns a Reader, whose full restore (Restore), range and
+// section queries (Range, Section) and index listing (Index) — like
+// salvage (SalvageTo), which needs no Bootstrap text — are each one
+// executor run (decodeFrames) over their own frame plan, decoded one
+// window at a time on scan scratch borrowed from a pool.
 //
 // The plan and reassemble stages are serial (they carry the cross-frame
 // state: chunking, outer-code groups, stream totals); the per-frame

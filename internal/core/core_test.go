@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"microlonys/internal/bootstrap"
 	"microlonys/internal/dbcoder"
 	"microlonys/internal/emblem"
 	"microlonys/media"
+	"microlonys/verisc"
 )
 
 func testPayload(n int) []byte {
@@ -145,15 +147,10 @@ func TestArchiveRestoreDynaRisc(t *testing.T) {
 	}
 }
 
-func TestArchiveRestoreNested(t *testing.T) {
-	if testing.Short() {
-		t.Skip("nested emulation is slow; skipped in -short mode")
-	}
-	// The complete future-user path: VeRisc hosts DynaRisc hosts the
-	// archived MODecode, driven purely from the Bootstrap text. Raw mode
-	// keeps this to one group of four small frames — DBDecode under
-	// nested emulation is covered separately (and without the pixel
-	// volume) by dynprog's TestDBDecodeNested.
+// nestedArchive is the smallest archive nested emulation restores: one
+// group of four small frames of raw data.
+func nestedArchive(t *testing.T) (*Archived, []byte) {
+	t.Helper()
 	l := emblem.Layout{DataW: 80, DataH: 64, PxPerModule: 2}
 	p := media.Profile{
 		Name:   "tiny-nested",
@@ -171,12 +168,70 @@ func TestArchiveRestoreNested(t *testing.T) {
 	if arch.Manifest.TotalFrames != 4 { // 1 data + 3 parity
 		t.Fatalf("frames = %d, want 4", arch.Manifest.TotalFrames)
 	}
+	return arch, data
+}
+
+func TestArchiveRestoreNested(t *testing.T) {
+	if testing.Short() {
+		t.Skip("nested emulation is slow; skipped in -short mode")
+	}
+	// The complete future-user path: VeRisc hosts DynaRisc hosts the
+	// archived MODecode, driven purely from the Bootstrap text. Raw mode
+	// keeps this to one group of four small frames — DBDecode under
+	// nested emulation is covered separately (and without the pixel
+	// volume) by dynprog's TestDBDecodeNested.
+	arch, data := nestedArchive(t)
 	got, _, err := Restore(arch.Medium, arch.BootstrapText, RestoreNested)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("nested-mode restore differs")
+	}
+}
+
+// TestNestedRunsBootstrapEmulator: nested mode runs the DynaRisc emulator
+// the Bootstrap carries, not the one this binary builds. With a valid
+// emulator that halts at once in its place, every frame decodes to
+// nothing and the nested restore fails, while the native and DynaRisc
+// restores of the same text, which never run it, stay byte-exact. An
+// emulator section that does not parse fails only a nested Open.
+func TestNestedRunsBootstrapEmulator(t *testing.T) {
+	arch, data := nestedArchive(t)
+	withEmulator := func(letters string) string {
+		doc := *arch.Bootstrap
+		doc.EmulatorLetters = letters
+		return doc.Render()
+	}
+	b := verisc.NewBuilder(verisc.ReservedCells)
+	b.Halt()
+	halt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	halting := withEmulator(bootstrap.EncodeLetters(bootstrap.MarshalVeRisc(halt)))
+	if _, _, err := Restore(arch.Medium, halting, RestoreNested); !errors.Is(err, ErrRestore) {
+		t.Fatalf("nested restore under a halting emulator: %v, want ErrRestore", err)
+	}
+	for _, mode := range []Mode{RestoreNative, RestoreDynaRisc} {
+		got, _, err := Restore(arch.Medium, halting, mode)
+		if err != nil {
+			t.Fatalf("%v: %v", mode, err)
+		}
+		if !bytes.Equal(got, data) {
+			t.Fatalf("%v restore differs", mode)
+		}
+	}
+
+	malformed := withEmulator(bootstrap.EncodeLetters([]byte("not a VeRisc program")))
+	for _, mode := range []Mode{RestoreNative, RestoreDynaRisc, RestoreNested} {
+		_, err := Open(arch.Volume, malformed, RestoreOptions{Mode: mode})
+		if mode == RestoreNested && !errors.Is(err, ErrRestore) {
+			t.Fatalf("nested Open of a malformed emulator section: %v, want ErrRestore", err)
+		}
+		if mode != RestoreNested && err != nil {
+			t.Fatalf("%v Open of a malformed emulator section: %v", mode, err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"microlonys/internal/mocoder"
 	"microlonys/internal/slots"
 	"microlonys/media"
+	"microlonys/verisc"
 )
 
 // frameAddr is one entry of a frame plan: the sheet to scan and the slot
@@ -46,22 +47,29 @@ type frameResult struct {
 	corrected int // inner-code corrections (native mode only)
 }
 
-// frameDecoder selects how planned frames decode: natively, or by running
-// the archived MODecode program under emulation.
+// frameDecoder selects how planned frames decode, and how DBDecode runs:
+// natively, or by running the archived programs under emulation.
 type frameDecoder struct {
 	mode   Mode
 	layout emblem.Layout
-	moProg *dynarisc.Program // emulated modes only
+	moProg *dynarisc.Program // the archived MODecode: emulated modes only
+	emu    *verisc.Program   // the archived DynaRisc emulator: nested mode only
 }
 
-// newFrameDecoder resolves the Bootstrap's decoder for mode; emulated modes
-// need its MODecode program.
+// newFrameDecoder resolves doc's decoders for mode: emulated modes need its
+// MODecode program, and nested mode runs it on the DynaRisc emulator doc
+// carries, not on the one this binary builds.
 func newFrameDecoder(doc *bootstrap.Document, mode Mode) (*frameDecoder, error) {
 	d := &frameDecoder{mode: mode, layout: doc.Layout}
+	var err error
 	if mode != RestoreNative {
-		var err error
 		if d.moProg, err = doc.MODecodeProgram(); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("MODecode: %w", err)
+		}
+	}
+	if mode == RestoreNested {
+		if d.emu, err = doc.EmulatorProgram(); err != nil {
+			return nil, fmt.Errorf("emulator: %w", err)
 		}
 	}
 	return d, nil
@@ -158,7 +166,7 @@ func (d *frameDecoder) decode(m *media.Medium, slot int, res *frameResult) error
 			res.corrected = stats.BytesCorrected
 		}
 	} else {
-		res.payload, res.hdr, err = decodeFrameEmulated(&sc.emu, d.moProg, scan, d.layout, d.mode)
+		res.payload, res.hdr, err = d.decodeEmulated(&sc.emu, scan)
 	}
 	res.decoded = err == nil
 	scratchPool.Put(sc)

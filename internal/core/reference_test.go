@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 
-	"microlonys/dynarisc"
 	"microlonys/internal/bootstrap"
 	"microlonys/internal/dbcoder"
 	"microlonys/internal/emblem"
@@ -167,7 +166,7 @@ func splitChunks(stream []byte, capacity int) [][]byte {
 }
 
 // referenceDecode is the seed scan+decode stage over a single medium.
-func referenceDecode(ctx context.Context, m *media.Medium, layout emblem.Layout, ro RestoreOptions, moProg *dynarisc.Program) ([]frameResult, error) {
+func referenceDecode(ctx context.Context, m *media.Medium, ro RestoreOptions, dec *frameDecoder) ([]frameResult, error) {
 	results := make([]frameResult, m.FrameCount())
 	scratch := make([]emuScratch, slots.Workers(ro.Workers, len(results)))
 	err := slots.ForEach(ctx, ro.Workers, len(results), func(_ context.Context, worker, i int) error {
@@ -180,12 +179,12 @@ func referenceDecode(ctx context.Context, m *media.Medium, layout emblem.Layout,
 		switch ro.Mode {
 		case RestoreNative:
 			var stats *mocoder.Stats
-			res.payload, res.hdr, stats, err = mocoder.Decode(scan, layout)
+			res.payload, res.hdr, stats, err = mocoder.Decode(scan, dec.layout)
 			if stats != nil {
 				res.corrected = stats.BytesCorrected
 			}
 		default:
-			res.payload, res.hdr, err = decodeFrameEmulated(&scratch[worker], moProg, scan, layout, ro.Mode)
+			res.payload, res.hdr, err = dec.decodeEmulated(&scratch[worker], scan)
 		}
 		res.decoded = err == nil
 		return nil
@@ -195,7 +194,7 @@ func referenceDecode(ctx context.Context, m *media.Medium, layout emblem.Layout,
 
 // referenceReassemble is the seed buffered reassemble stage: group the
 // decoded payloads by header GroupID, recover, concatenate, decompress.
-func referenceReassemble(results []frameResult, capacity int, mode Mode, st *RestoreStats) ([]byte, *RestoreStats, error) {
+func referenceReassemble(results []frameResult, capacity int, dec *frameDecoder, st *RestoreStats) ([]byte, *RestoreStats, error) {
 	type groupState struct {
 		members map[int][]byte
 		data    int
@@ -289,7 +288,7 @@ func referenceReassemble(results []frameResult, capacity int, mode Mode, st *Res
 		return nil, st, fmt.Errorf("%w: no data stream recovered", ErrRestore)
 	}
 
-	switch mode {
+	switch dec.mode {
 	case RestoreNative:
 		out, err := dbcoder.Decompress(blob)
 		if err != nil {
@@ -305,7 +304,7 @@ func referenceReassemble(results []frameResult, capacity int, mode Mode, st *Res
 		if err != nil {
 			return nil, st, fmt.Errorf("%w: system emblem payload: %v", ErrRestore, err)
 		}
-		out, err := runDBDecode(dbProg, blob, mode)
+		out, err := dec.runDBDecode(dbProg, blob)
 		if err != nil {
 			return nil, st, fmt.Errorf("%w: %v", ErrRestore, err)
 		}
@@ -327,14 +326,12 @@ func referenceRestore(m *media.Medium, bootstrapText string, ro RestoreOptions) 
 	capacity := mocoder.Capacity(layout)
 	st := &RestoreStats{Mode: ro.Mode}
 
-	var moProg *dynarisc.Program
-	if ro.Mode != RestoreNative {
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			return nil, st, fmt.Errorf("%w: bootstrap MODecode: %v", ErrRestore, err)
-		}
+	dec, err := newFrameDecoder(doc, ro.Mode)
+	if err != nil {
+		return nil, st, fmt.Errorf("%w: bootstrap %v", ErrRestore, err)
 	}
 
-	results, err := referenceDecode(context.Background(), m, layout, ro, moProg)
+	results, err := referenceDecode(context.Background(), m, ro, dec)
 	for i := range results {
 		if results[i].scanned {
 			st.FramesScanned++
@@ -343,5 +340,5 @@ func referenceRestore(m *media.Medium, bootstrapText string, ro RestoreOptions) 
 	if err != nil {
 		return nil, st, err
 	}
-	return referenceReassemble(results, capacity, ro.Mode, st)
+	return referenceReassemble(results, capacity, dec, st)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -35,47 +36,44 @@ import (
 // the whole archive. Full restores, queries and salvage all assemble
 // through the same assembler.
 
-// Restore runs the restoration pipeline (Figure 2b) against a scanned
-// medium and the Bootstrap text with default options. It returns the
-// original archive bytes.
-func Restore(m *media.Medium, bootstrapText string, mode Mode) ([]byte, *RestoreStats, error) {
-	return RestoreWithOptions(m, bootstrapText, RestoreOptions{Mode: mode})
+// Reader is an archive opened for restoration: a volume and its parsed
+// Bootstrap, with the frame decoder the restore mode selects. Restore,
+// Range and Section write their answer to an io.Writer, Index returns the
+// volume's index, and each call returns its own stats. A Reader keeps
+// nothing between calls, so it is safe for concurrent use.
+type Reader struct {
+	v   *media.Volume
+	doc *bootstrap.Document
+	ro  RestoreOptions
+	ctx context.Context
+	dec *frameDecoder
 }
 
-// RestoreWithOptions is Restore with explicit options. The restored bytes
-// and stats are identical at any worker count.
-func RestoreWithOptions(m *media.Medium, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return RestoreVolume(media.VolumeOf(m), bootstrapText, ro)
-}
-
-// RestoreVolume restores a multi-sheet volume into memory:
-// RestoreToWriter over a bytes.Buffer.
-func RestoreVolume(v *media.Volume, bootstrapText string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	var buf bytes.Buffer
-	st, err := RestoreToWriter(&buf, v, bootstrapText, ro)
-	if err != nil {
-		return nil, st, err
-	}
-	return buf.Bytes(), st, nil
-}
-
-// RestoreToWriter runs the restoration pipeline against a volume and the
-// Bootstrap text, writing the restored archive bytes to w. Raw archives
-// stream group by group as their frames decode; compressed archives
-// accumulate only the (small) compressed stream before DBDecode runs. On
-// error, w may already have received a prefix of the output. Bytes and
-// stats are identical at any worker count.
-func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro RestoreOptions) (*RestoreStats, error) {
+// Open parses the Bootstrap text and resolves the decoders ro.Mode runs:
+// the archived MODecode program in the emulated modes, and in nested mode
+// the DynaRisc emulator the Bootstrap carries as well. Its errors match
+// ErrRestore.
+func Open(v *media.Volume, bootstrapText string, ro RestoreOptions) (*Reader, error) {
 	doc, err := bootstrap.Parse(bootstrapText)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 	}
-	st := newStats(v, ro.Mode)
 	dec, err := newFrameDecoder(doc, ro.Mode)
 	if err != nil {
-		return st, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
+		return nil, fmt.Errorf("%w: bootstrap %w", ErrRestore, err)
 	}
-	sheets, plan := volumePlan(v)
+	return &Reader{v: v, doc: doc, ro: ro, ctx: orBackground(ro.Context), dec: dec}, nil
+}
+
+// Restore runs the restoration pipeline against the whole volume, writing
+// the restored archive bytes to w. Raw archives stream group by group as
+// their frames decode; compressed archives accumulate only the (small)
+// compressed stream before DBDecode runs. On error, w may already have
+// received a prefix of the output. Bytes and stats are identical at any
+// worker count.
+func (r *Reader) Restore(w io.Writer) (*RestoreStats, error) {
+	st := r.newStats()
+	sheets, plan := volumePlan(r.v)
 	if len(plan) == 0 {
 		return st, fmt.Errorf("%w: no readable frames", ErrRestore)
 	}
@@ -84,30 +82,30 @@ func RestoreToWriter(w io.Writer, v *media.Volume, bootstrapText string, ro Rest
 	// index=1): the leading frames of every sheet are out-of-band catalog
 	// and index emblems the group assembler must treat as no group's
 	// members — their loss is not a data loss.
-	asm := newAssembler(st, w, mocoder.Capacity(doc.Layout), ro.Partial)
-	reserved := boolInt(doc.Catalog) + boolInt(doc.Index)
+	asm := newAssembler(st, w, mocoder.Capacity(r.doc.Layout), r.ro.Partial)
+	reserved := boolInt(r.doc.Catalog) + boolInt(r.doc.Index)
 	asm.sheetOf, asm.catSlot = make([]int, len(plan)), make([]bool, len(plan))
 	for i, a := range plan {
 		asm.sheetOf[i], asm.catSlot[i] = a.sheet, a.slot < reserved
 	}
 
-	if err := decodeFrames(orBackground(ro.Context), ro.Workers, sheets, plan, dec, asm.consume); err != nil {
+	if err := decodeFrames(r.ctx, r.ro.Workers, sheets, plan, r.dec, asm.consume); err != nil {
 		return st, err
 	}
 	if err := asm.finish(); err != nil {
 		return st, err
 	}
-	return st, decompressTail(w, asm, ro.Mode)
+	return st, r.dec.decompressTail(w, asm)
 }
 
-func newStats(v *media.Volume, mode Mode) *RestoreStats {
-	return &RestoreStats{Mode: mode, Sheets: make([]SheetReport, v.Sheets())}
+func (r *Reader) newStats() *RestoreStats {
+	return &RestoreStats{Mode: r.ro.Mode, Sheets: make([]SheetReport, r.v.Sheets())}
 }
 
 // decompressTail finishes a restore once every group has flushed: raw
 // archives already streamed to w, compressed archives decompress the
 // assembled stream. Shared between restore and salvage.
-func decompressTail(w io.Writer, asm *assembler, mode Mode) error {
+func (d *frameDecoder) decompressTail(w io.Writer, asm *assembler) error {
 	// The raw section streamed directly to w as its groups closed.
 	if asm.sinks[emblem.KindRaw] != nil {
 		return nil
@@ -115,7 +113,7 @@ func decompressTail(w io.Writer, asm *assembler, mode Mode) error {
 	if asm.dataBuf == nil {
 		return fmt.Errorf("%w: no data stream recovered", ErrRestore)
 	}
-	decompress, err := dbDecoder(mode, asm.sysBuf)
+	decompress, err := d.dbDecoder(asm.sysBuf)
 	if err != nil {
 		return err
 	}
@@ -129,11 +127,11 @@ func decompressTail(w io.Writer, asm *assembler, mode Mode) error {
 	return nil
 }
 
-// dbDecoder returns the DBDecode stage for mode: the Go reference decoder
-// natively, otherwise the archived DBDecode program — reassembled from sys,
-// the system section — executed under emulation.
-func dbDecoder(mode Mode, sys *bytes.Buffer) (func(blob []byte) ([]byte, error), error) {
-	if mode == RestoreNative {
+// dbDecoder returns the DBDecode stage: the Go reference decoder natively,
+// otherwise the archived DBDecode program — reassembled from sys, the
+// system section — executed under emulation.
+func (d *frameDecoder) dbDecoder(sys *bytes.Buffer) (func(blob []byte) ([]byte, error), error) {
+	if d.mode == RestoreNative {
 		return func(blob []byte) ([]byte, error) {
 			out, err := dbcoder.Decompress(blob)
 			if err != nil {
@@ -149,7 +147,7 @@ func dbDecoder(mode Mode, sys *bytes.Buffer) (func(blob []byte) ([]byte, error),
 	if err != nil {
 		return nil, fmt.Errorf("%w: system emblem payload: %w", ErrRestore, err)
 	}
-	return func(blob []byte) ([]byte, error) { return emulatedDecompress(prog, blob, mode) }, nil
+	return func(blob []byte) ([]byte, error) { return d.emulatedDecompress(prog, blob) }, nil
 }
 
 // kindSink accumulates one section's recovered stream, trimming at the
@@ -706,7 +704,7 @@ func (a *assembler) sink(k emblem.Kind) *kindSink {
 // them block by block through the same program, exactly as the index's
 // recovery instructions direct a future user to. The concatenated output
 // is verified against the container's whole-stream length and checksum.
-func emulatedDecompress(dbProg *dynarisc.Program, blob []byte, mode Mode) ([]byte, error) {
+func (d *frameDecoder) emulatedDecompress(dbProg *dynarisc.Program, blob []byte) ([]byte, error) {
 	var out []byte
 	if dbcoder.IsSeekable(blob) {
 		blocks, err := dbcoder.SeekTable(blob)
@@ -714,7 +712,7 @@ func emulatedDecompress(dbProg *dynarisc.Program, blob []byte, mode Mode) ([]byt
 			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 		}
 		for _, b := range blocks {
-			part, err := runDBDecode(dbProg, blob[b.CompOff:b.CompOff+b.CompLen], mode)
+			part, err := d.runDBDecode(dbProg, blob[b.CompOff:b.CompOff+b.CompLen])
 			if err != nil {
 				return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 			}
@@ -722,7 +720,7 @@ func emulatedDecompress(dbProg *dynarisc.Program, blob []byte, mode Mode) ([]byt
 		}
 	} else {
 		var err error
-		if out, err = runDBDecode(dbProg, blob, mode); err != nil {
+		if out, err = d.runDBDecode(dbProg, blob); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrRestore, err)
 		}
 	}
@@ -758,9 +756,10 @@ type emuScratch struct {
 	in     []uint16
 }
 
-// decodeFrameEmulated runs the archived MODecode program on a scan,
-// reusing the worker's emulator and buffers.
-func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gray, l emblem.Layout, mode Mode) ([]byte, emblem.Header, error) {
+// decodeEmulated runs the archived MODecode program on a scan, reusing
+// the worker's emulator and buffers.
+func (d *frameDecoder) decodeEmulated(s *emuScratch, scan *raster.Gray) ([]byte, emblem.Header, error) {
+	l := d.layout
 	// Host-side image preprocessing per the Bootstrap (§3.3 step 1):
 	// deskew and rescale the scan onto the nominal grid before handing
 	// the flat pixel array to the archived decoder. The Bootstrap fixes
@@ -783,7 +782,7 @@ func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gra
 	s.in = in
 
 	var outBytes []byte
-	switch mode {
+	switch d.mode {
 	case RestoreDynaRisc:
 		if s.cpu == nil {
 			s.cpu = dynarisc.NewCPU(dynprog.MOMemWords(scan))
@@ -793,7 +792,7 @@ func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gra
 		}
 		cpu := s.cpu
 		cpu.MaxSteps = 60_000_000_000
-		if err := cpu.LoadProgram(prog.Org, prog.Words); err != nil {
+		if err := cpu.LoadProgram(d.moProg.Org, d.moProg.Words); err != nil {
 			return nil, emblem.Header{}, err
 		}
 		cpu.In = in
@@ -806,12 +805,12 @@ func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gra
 			s.nested = nested.NewRunner()
 		}
 		var err error
-		outBytes, err = s.nested.RunAppendBytes(nil, prog, in, dynprog.MOMemWords(scan), 0)
+		outBytes, err = s.nested.RunAppendBytes(nil, d.emu, d.moProg, in, dynprog.MOMemWords(scan), 0)
 		if err != nil {
 			return nil, emblem.Header{}, err
 		}
 	default:
-		return nil, emblem.Header{}, fmt.Errorf("core: bad emulated mode %v", mode)
+		return nil, emblem.Header{}, fmt.Errorf("core: bad emulated mode %v", d.mode)
 	}
 	if len(outBytes) == 0 {
 		return nil, emblem.Header{}, errors.New("core: MODecode produced no output (damaged frame)")
@@ -832,13 +831,13 @@ func decodeFrameEmulated(s *emuScratch, prog *dynarisc.Program, scan *raster.Gra
 
 // runDBDecode executes the archived DBDecode program on the compressed
 // stream under the selected emulation level.
-func runDBDecode(prog *dynarisc.Program, blob []byte, mode Mode) ([]byte, error) {
+func (d *frameDecoder) runDBDecode(prog *dynarisc.Program, blob []byte) ([]byte, error) {
 	rawLen, err := dbcoder.RawLen(blob)
 	if err != nil {
 		return nil, err
 	}
 	memWords := dynprog.DBOutBuf + rawLen + 4096
-	switch mode {
+	switch d.mode {
 	case RestoreDynaRisc:
 		cpu := dynarisc.NewCPU(memWords)
 		cpu.MaxSteps = 60_000_000_000
@@ -853,8 +852,8 @@ func runDBDecode(prog *dynarisc.Program, blob []byte, mode Mode) ([]byte, error)
 		return cpu.OutBytes(), nil
 	case RestoreNested:
 		return nested.NewRunner().RunBytesAppendBytes(
-			make([]byte, 0, rawLen), prog, blob, memWords, 0)
+			make([]byte, 0, rawLen), d.emu, prog, blob, memWords, 0)
 	default:
-		return nil, fmt.Errorf("core: bad emulated mode %v", mode)
+		return nil, fmt.Errorf("core: bad emulated mode %v", d.mode)
 	}
 }

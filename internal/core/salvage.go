@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"sort"
 
-	"microlonys/dynarisc"
 	"microlonys/internal/catalog"
 	"microlonys/internal/emblem"
 	"microlonys/internal/mocoder"
@@ -74,16 +72,6 @@ type SalvageReport struct {
 	Complete bool // nothing lost or mismatched: the output is the exact archive
 }
 
-// Salvage restores an unordered bag of sheets into memory. See SalvageTo.
-func Salvage(sheets []*media.Medium, opts SalvageOptions) ([]byte, *SalvageReport, error) {
-	var buf bytes.Buffer
-	rep, err := SalvageTo(&buf, sheets, opts)
-	if err != nil {
-		return nil, rep, err
-	}
-	return buf.Bytes(), rep, nil
-}
-
 // bagSheet is one presented sheet's identification state.
 type bagSheet struct {
 	present int              // position in the bag
@@ -135,7 +123,8 @@ func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*Salva
 		results[k] = *res
 		return nil
 	}
-	if err := decodeFrames(ctx, opts.Workers, sheets, frames, &frameDecoder{mode: RestoreNative, layout: layout}, keep); err != nil {
+	dec := &frameDecoder{mode: RestoreNative, layout: layout}
+	if err := decodeFrames(ctx, opts.Workers, sheets, frames, dec, keep); err != nil {
 		return rep, err
 	}
 
@@ -209,9 +198,9 @@ func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*Salva
 		}
 	}
 
-	// Emulated modes decode through the archived programs; with no
-	// bootstrap text the only source is the catalog replica.
-	var moProg *dynarisc.Program
+	// Emulated modes decode through the archived programs — MODecode, and
+	// in nested mode the emulator that hosts it; with no bootstrap text
+	// the only source is the catalog replica.
 	if opts.Mode != RestoreNative {
 		if best == nil {
 			return rep, fmt.Errorf("%w: emulated salvage needs a catalog bootstrap replica and no catalog was readable", ErrRestore)
@@ -222,9 +211,10 @@ func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*Salva
 		}
 		rep.BootstrapRecovered = true
 		rep.BootstrapFromCatalog = true
-		if moProg, err = doc.MODecodeProgram(); err != nil {
-			return rep, fmt.Errorf("%w: catalog replica MODecode: %w", ErrRestore, err)
+		if dec, err = newFrameDecoder(doc, opts.Mode); err != nil {
+			return rep, fmt.Errorf("%w: catalog replica %w", ErrRestore, err)
 		}
+		dec.layout = layout // the bag's own geometry, as identification read it
 		// Re-decode the kept sheets' frames through the recovered program:
 		// the restore path the future user would actually run.
 		// Identification keeps the native pass's placement (the headers
@@ -241,7 +231,6 @@ func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*Salva
 				plan = append(plan, a)
 			}
 		}
-		dec := &frameDecoder{mode: opts.Mode, layout: layout, moProg: moProg}
 		if err := decodeFrames(ctx, opts.Workers, sheets, plan, dec, func(j int, res *frameResult) error {
 			results[redo[j]] = *res
 			return nil
@@ -286,7 +275,7 @@ func SalvageTo(w io.Writer, sheets []*media.Medium, opts SalvageOptions) (*Salva
 		if err := ctx.Err(); err != nil {
 			asmErr = fmt.Errorf("%w: %w", ErrRestore, err)
 		} else {
-			asmErr = decompressTail(w, asm, opts.Mode)
+			asmErr = dec.decompressTail(w, asm)
 		}
 	}
 	rep.Stats = *st

@@ -2,14 +2,13 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
+	"io"
 	"slices"
 	"strings"
 
 	"microlonys/internal/archindex"
-	"microlonys/internal/bootstrap"
 	"microlonys/internal/catalog"
 	"microlonys/internal/dbcoder"
 	"microlonys/internal/emblem"
@@ -50,14 +49,14 @@ import (
 // full restore.
 var errIndexMiss = errors.New("core: the index cannot answer the query")
 
-// RestoreRange restores exactly bytes [off, off+length) of the original
-// archive from an indexed volume, scanning only the data frames the range
+// Range writes exactly bytes [off, off+length) of the original archive to
+// w, from an indexed volume scanning only the data frames the range
 // occupies (and the rest of a group only to recover it). The bytes are
 // identical to the same slice of a full Restore. Volumes without a usable
 // index fall back to a full restore.
-func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro RestoreOptions) ([]byte, *RestoreStats, error) {
+func (r *Reader) Range(w io.Writer, off, length int) (*RestoreStats, error) {
 	if off < 0 || length < 0 {
-		return nil, nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
+		return nil, fmt.Errorf("%w: negative range %d:%d", ErrRestore, off, length)
 	}
 	// Compared without adding: off+length may overflow.
 	inside := func(size int) error {
@@ -66,7 +65,7 @@ func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro Res
 		}
 		return nil
 	}
-	return query(v, bootstrapText, ro,
+	return r.query(w,
 		func(x *archindex.Index) (int, int, error) { return off, length, inside(x.RawLen) },
 		func(data []byte) ([]byte, error) {
 			if err := inside(len(data)); err != nil {
@@ -76,13 +75,13 @@ func RestoreRange(v *media.Volume, bootstrapText string, off, length int, ro Res
 		})
 }
 
-// RestoreSection restores one named section of the archive — a SQL-dump
+// Section writes one named section of the archive to w — a SQL-dump
 // table ("nation") or column ("nation.n_name") — resolving the name
 // through the index's section table. A column restores its minimal
 // contiguous cover: the owning table's whole rows region. Names the index
 // cannot resolve fall back to a full restore and are located there.
-func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return query(v, bootstrapText, ro,
+func (r *Reader) Section(w io.Writer, name string) (*RestoreStats, error) {
+	return r.query(w,
 		func(x *archindex.Index) (int, int, error) {
 			if sec, ok := x.Lookup(name); ok {
 				return sec.Off, sec.Len, nil
@@ -92,30 +91,20 @@ func RestoreSection(v *media.Volume, bootstrapText, name string, ro RestoreOptio
 		func(data []byte) ([]byte, error) { return locateSection(data, name) })
 }
 
-// RestoreTable restores one SQL-dump table's rows region by name. It is
-// RestoreSection under the table-name convention.
-func RestoreTable(v *media.Volume, bootstrapText, table string, ro RestoreOptions) ([]byte, *RestoreStats, error) {
-	return RestoreSection(v, bootstrapText, table, ro)
-}
-
-// ListIndex reads the volume's selective-restore index — archive
-// identity, geometry, restart blocks, named sections — without decoding
-// any payload group. There is no full-restore fallback: a volume with no
-// readable index reports ErrRestore.
-func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archindex.Index, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
-	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
-	}
-	st := newStats(v, ro.Mode)
-	x, err := readIndex(orBackground(ro.Context), v, doc, ro.Mode, st)
+// Index reads the volume's selective-restore index — archive identity,
+// geometry, restart blocks, named sections — without decoding any payload
+// group. There is no full-restore fallback: a volume with no readable
+// index reports ErrRestore.
+func (r *Reader) Index() (*archindex.Index, *RestoreStats, error) {
+	st := r.newStats()
+	x, err := r.readIndex(st)
 	if err != nil {
 		return nil, st, err
 	}
 	if x == nil {
 		return nil, st, fmt.Errorf("%w: no readable selective-restore index", ErrRestore)
 	}
-	st.FramesSkipped = v.FrameCount() - st.FramesScanned
+	st.FramesSkipped = r.v.FrameCount() - st.FramesScanned
 	return x, st, nil
 }
 
@@ -125,49 +114,46 @@ func ListIndex(v *media.Volume, bootstrapText string, ro RestoreOptions) (*archi
 // readable, resolve or the geometry reports errIndexMiss — the query
 // falls back to a full restore and locate finds the answer in the
 // restored bytes, so a query never fails where a full restore would
-// succeed.
-func query(v *media.Volume, bootstrapText string, ro RestoreOptions,
-	resolve func(*archindex.Index) (off, length int, err error), locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
-	doc, err := bootstrap.Parse(bootstrapText)
+// succeed. The answer is written to w only once it is final, so a
+// fallback never follows bytes already written.
+func (r *Reader) query(w io.Writer, resolve func(*archindex.Index) (off, length int, err error), locate func([]byte) ([]byte, error)) (*RestoreStats, error) {
+	st := r.newStats()
+	x, err := r.readIndex(st)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %w", ErrRestore, err)
+		return st, err
 	}
-	st := newStats(v, ro.Mode)
-	ctx := orBackground(ro.Context)
-	x, err := readIndex(ctx, v, doc, ro.Mode, st)
-	if err != nil {
-		return nil, st, err
-	}
+	var out []byte
+	err = errIndexMiss // until the index answers
 	if x != nil {
-		off, length, err := resolve(x)
-		if err == nil {
-			var out []byte
-			if out, err = selectiveRange(ctx, v, doc, x, off, length, ro, st); err == nil {
-				return out, st, nil
-			}
-		}
-		if !errors.Is(err, errIndexMiss) {
-			return nil, st, err
+		var off, length int
+		if off, length, err = resolve(x); err == nil {
+			out, err = r.selectiveRange(x, off, length, st)
 		}
 	}
-	return fullRestoreLocate(v, bootstrapText, ro, locate)
+	if errors.Is(err, errIndexMiss) {
+		out, st, err = r.fullRestoreLocate(locate)
+	}
+	if err != nil {
+		return st, err
+	}
+	if _, err := w.Write(out); err != nil {
+		return st, fmt.Errorf("%w: writing output: %w", ErrRestore, err)
+	}
+	return st, nil
 }
 
 // fullRestoreLocate answers a query the index could not: a full restore,
 // counted in IndexFallbacks, then locate finds the answer in the restored
 // bytes.
-func fullRestoreLocate(v *media.Volume, bootstrapText string, ro RestoreOptions, locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
+func (r *Reader) fullRestoreLocate(locate func([]byte) ([]byte, error)) ([]byte, *RestoreStats, error) {
 	var buf bytes.Buffer
-	st, err := RestoreToWriter(&buf, v, bootstrapText, ro)
+	st, err := r.Restore(&buf)
 	st.IndexFallbacks++
 	if err != nil {
 		return nil, st, err
 	}
 	out, err := locate(buf.Bytes())
-	if err != nil {
-		return nil, st, err
-	}
-	return append([]byte(nil), out...), st, nil
+	return out, st, err
 }
 
 // locateSection finds a table or column section in a restored SQL dump.
@@ -197,16 +183,12 @@ func locateSection(data []byte, name string) ([]byte, error) {
 // cancellation, wrapping ErrRestore and the context's error: each probe
 // checks ctx, so a query on a large damaged volume aborts between frame
 // scans.
-func readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, mode Mode, st *RestoreStats) (*archindex.Index, error) {
-	var dec *frameDecoder
-	if doc.Index {
-		dec, _ = newFrameDecoder(doc, mode) // nil when MODecode is unreadable
-	}
-	if dec == nil {
+func (r *Reader) readIndex(st *RestoreStats) (*archindex.Index, error) {
+	if !r.doc.Index {
 		st.IndexFallbacks++
 		return nil, nil
 	}
-	sheets, _ := volumePlan(v)
+	sheets, _ := volumePlan(r.v)
 	// probe scans and decodes one reserved slot of every sheet that has it,
 	// tallying each probe like the full pipeline would, until parse accepts
 	// a frame of the wanted kind.
@@ -217,7 +199,7 @@ func readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, mo
 			}
 			var res frameResult
 			keep := func(_ int, r *frameResult) error { res = *r; return nil }
-			if err := decodeFrames(ctx, 1, sheets, []frameAddr{{s, slot}}, dec, keep); err != nil {
+			if err := decodeFrames(r.ctx, 1, sheets, []frameAddr{{s, slot}}, r.dec, keep); err != nil {
 				return nil, err
 			}
 			st.FramesScanned++
@@ -237,12 +219,12 @@ func readIndex(ctx context.Context, v *media.Volume, doc *bootstrap.Document, mo
 		return nil, nil
 	}
 
-	slot := boolInt(doc.Catalog) // the index slot follows the catalog slot
+	slot := boolInt(r.doc.Catalog) // the index slot follows the catalog slot
 	x, err := probe(slot, emblem.KindIndex, archindex.Parse)
 	if x != nil {
 		st.IndexFrames++
 	}
-	if x == nil && err == nil && doc.Catalog {
+	if x == nil && err == nil && r.doc.Catalog {
 		x, err = probe(0, emblem.KindCatalog, func(p []byte) (*archindex.Index, error) {
 			c, err := catalog.Parse(p)
 			if err != nil {
@@ -287,14 +269,14 @@ func planGeometry(x *archindex.Index, capacity int, v *media.Volume) ([]groupExt
 // the stream span occupies, assembles them through the full restore's
 // assembler — reading a group whole only to recover it — and decompresses
 // only the overlapping restart blocks.
-func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Document, x *archindex.Index, off, length int, ro RestoreOptions, st *RestoreStats) ([]byte, error) {
-	capacity := mocoder.Capacity(doc.Layout)
-	geo, err := planGeometry(x, capacity, v)
+func (r *Reader) selectiveRange(x *archindex.Index, off, length int, st *RestoreStats) ([]byte, error) {
+	capacity := mocoder.Capacity(r.doc.Layout)
+	geo, err := planGeometry(x, capacity, r.v)
 	if err != nil {
 		return nil, err
 	}
 	if length == 0 {
-		st.FramesSkipped = v.FrameCount() - st.FramesScanned
+		st.FramesSkipped = r.v.FrameCount() - st.FramesScanned
 		return []byte{}, nil
 	}
 
@@ -335,7 +317,7 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	// data positions (the archived DBDecode program must be whole to run
 	// at all). Parity and every other frame of the volume is skipped
 	// without a single scan, unless a planned frame fails.
-	asm := newAssembler(st, nil, capacity, ro.Partial)
+	asm := newAssembler(st, nil, capacity, r.ro.Partial)
 	var first *openGroup // the first selected target-kind group
 	for _, g := range geo {
 		switch {
@@ -345,20 +327,16 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 			if og := asm.selectGroup(g, lo, hi); first == nil {
 				first = og
 			}
-		case g.kind == emblem.KindSystem && ro.Mode != RestoreNative:
+		case g.kind == emblem.KindSystem && r.ro.Mode != RestoreNative:
 			asm.selectGroup(g, 0, g.data)
 		}
 	}
 	if first == nil || first.secOff+first.lo*capacity > spanOff {
 		return nil, errIndexMiss
 	}
-	dec, err := newFrameDecoder(doc, ro.Mode)
-	if err != nil {
-		return nil, fmt.Errorf("%w: bootstrap MODecode: %w", ErrRestore, err)
-	}
-	sheets, all := volumePlan(v)
+	sheets, all := volumePlan(r.v)
 	for plan := asm.round(all); len(plan) > 0; plan = asm.round(all) {
-		if err := decodeFrames(ctx, ro.Workers, sheets, plan, dec, asm.consume); err != nil {
+		if err := decodeFrames(r.ctx, r.ro.Workers, sheets, plan, r.dec, asm.consume); err != nil {
 			return nil, err
 		}
 	}
@@ -381,14 +359,14 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 	}
 	stream := span.Bytes()[spanOff-firstOff : spanOff-firstOff+spanLen]
 	if !x.Compress {
-		st.FramesSkipped = v.FrameCount() - st.FramesScanned
-		return append([]byte(nil), stream...), nil
+		st.FramesSkipped = r.v.FrameCount() - st.FramesScanned
+		return stream, nil
 	}
 
 	// Decompress only the overlapping restart blocks, each independently
 	// decodable — natively or through the archived DBDecode program
 	// reassembled from the system groups.
-	decompress, err := dbDecoder(ro.Mode, &sys)
+	decompress, err := r.dec.dbDecoder(&sys)
 	if err != nil {
 		return nil, err
 	}
@@ -401,7 +379,7 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 		if length > len(raw)-off {
 			return nil, errIndexMiss
 		}
-		out = append([]byte(nil), raw[off:off+length]...)
+		out = raw[off : off+length]
 	} else {
 		out = make([]byte, 0, length)
 		for _, b := range blocks {
@@ -422,6 +400,6 @@ func selectiveRange(ctx context.Context, v *media.Volume, doc *bootstrap.Documen
 			out = append(out, raw[lo:hi]...)
 		}
 	}
-	st.FramesSkipped = v.FrameCount() - st.FramesScanned
+	st.FramesSkipped = r.v.FrameCount() - st.FramesScanned
 	return out, nil
 }

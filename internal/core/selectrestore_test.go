@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"reflect"
 	"runtime"
@@ -103,6 +104,59 @@ func checkRange(t *testing.T, arch *Archived, data []byte, off, length int) *Res
 		last = st
 	}
 	return last
+}
+
+// TestReaderConcurrentCalls: a Reader keeps nothing between calls, so
+// goroutines may share one. Restore, Range, Section and Index calls made
+// at once on one Reader each return the bytes and the full stats of the
+// same call made alone.
+func TestReaderConcurrentCalls(t *testing.T) {
+	f := cleanFixture(t, true)
+	r, err := Open(f.pre, f.arch.BootstrapText, RestoreOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := []func(io.Writer) (*RestoreStats, error){
+		r.Restore,
+		func(w io.Writer) (*RestoreStats, error) { return r.Range(w, 6562, 6562) },
+		func(w io.Writer) (*RestoreStats, error) { return r.Section(w, "region") },
+		func(io.Writer) (*RestoreStats, error) { _, st, err := r.Index(); return st, err },
+	}
+	type answer struct {
+		out []byte
+		st  *RestoreStats
+		err error
+	}
+	run := func(call func(io.Writer) (*RestoreStats, error)) answer {
+		var buf bytes.Buffer
+		st, err := call(&buf)
+		return answer{buf.Bytes(), st, err}
+	}
+	alone := make([]answer, len(calls))
+	for i, call := range calls {
+		if alone[i] = run(call); alone[i].err != nil {
+			t.Fatalf("call %d alone: %v", i, alone[i].err)
+		}
+	}
+	shared := make([]answer, 2*len(calls))
+	var wg sync.WaitGroup
+	for i := range shared {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shared[i] = run(calls[i%len(calls)])
+		}()
+	}
+	wg.Wait()
+	for i, got := range shared {
+		want := alone[i%len(calls)]
+		if got.err != nil {
+			t.Fatalf("call %d shared: %v", i%len(calls), got.err)
+		}
+		if !bytes.Equal(got.out, want.out) || !reflect.DeepEqual(got.st, want.st) {
+			t.Fatalf("call %d shared: bytes or stats differ from the call alone\n got %+v\nwant %+v", i%len(calls), got.st, want.st)
+		}
+	}
 }
 
 // TestRestoreRangeMatchesFullSlice: every queried range of a compressed

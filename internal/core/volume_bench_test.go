@@ -220,7 +220,7 @@ func BenchmarkP6ReassemblePeak(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			peak = benchHeapPeak(func() {
 				st := &RestoreStats{}
-				out, _, err := referenceReassemble(results, capacity, RestoreNative, st)
+				out, _, err := referenceReassemble(results, capacity, &frameDecoder{mode: RestoreNative}, st)
 				if err != nil {
 					b.Fatal(err)
 				}

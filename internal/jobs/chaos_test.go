@@ -4,9 +4,9 @@ package jobs
 // every kind against one 4-worker pool, with flaky and slow I/O ends,
 // per-job timeouts, mid-run cancellations and one injected panic — every
 // job must reach a terminal state, the process and pool must survive, no
-// goroutines may leak, successful outputs must be byte-identical to the
-// one-shot facade calls, and the journal must replay the whole story
-// after a restart.
+// goroutines or file descriptors may leak, successful outputs must be
+// byte-identical to the one-shot facade calls, and the journal must
+// replay the whole story after a restart.
 
 import (
 	"bytes"
@@ -29,7 +29,7 @@ func TestChaosAcceptance(t *testing.T) {
 	ro := core.RestoreOptions{Mode: core.RestoreNative}
 
 	// One-shot facade results the jobs' outputs must match byte for byte.
-	wantTable, _, err := core.RestoreTable(arch.Volume, arch.BootstrapText, "nation", ro)
+	wantTable, _, err := restoreTable(arch.Volume, arch.BootstrapText, "nation", ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,6 +39,7 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 
 	goroutinesBefore := runtime.NumGoroutine()
+	fdsBefore := openFDs()
 	journalPath := filepath.Join(t.TempDir(), "jobs.journal")
 	m := newManager(t, Config{
 		Workers: 4, QueueDepth: 32, MaxRetries: 3,
@@ -91,7 +92,7 @@ func TestChaosAcceptance(t *testing.T) {
 			if snap.Retries != 2 {
 				t.Errorf("retries %d, want 2", snap.Retries)
 			}
-			back, _, err := core.RestoreVolume(res.Archived.Volume, res.Archived.BootstrapText, ro)
+			back, _, err := restoreVolume(res.Archived.Volume, res.Archived.BootstrapText, ro)
 			if err != nil || !bytes.Equal(back, payload) {
 				t.Errorf("flaky archive did not roundtrip: %v", err)
 			}
@@ -281,6 +282,11 @@ func TestChaosAcceptance(t *testing.T) {
 		}
 	}
 
+	// The journal and every job's ends must be closed.
+	if n := openFDs(); fdsBefore >= 0 && n > fdsBefore {
+		t.Fatalf("descriptors leaked: %d before, %d after the drain", fdsBefore, n)
+	}
+
 	// The pool must be gone: no leaked goroutines.
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -290,6 +296,16 @@ func TestChaosAcceptance(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("goroutines leaked: %d before, %d after", goroutinesBefore, runtime.NumGoroutine())
+}
+
+// openFDs counts the process's open descriptors, or returns -1 where
+// /proc/self/fd does not exist.
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
 }
 
 // TestJournalRestartReplay: a new manager over an old journal recovers

@@ -598,7 +598,8 @@ func (m *Manager) attempt(j *job) (res Result, err error) {
 }
 
 // run performs the job's operation once, writing restore and salvage
-// output to out (nil: an in-memory buffer returned in Result.Data). Every
+// output to out (nil: an in-memory buffer returned in Result.Data, where
+// range and table answers always go). Every
 // operation runs with its request's Workers (0 = GOMAXPROCS): the core's
 // frame slots, not the job, bound how many frames decode or encode at
 // once across all jobs, so a job alone on the manager uses every core.
@@ -633,31 +634,31 @@ func run(j *job, out io.Writer) (Result, error) {
 		}
 		return Result{Archived: arch}, nil
 
-	case KindRestore:
-		st, err := core.RestoreToWriter(sink, j.req.Volume, j.req.BootstrapText, ro)
+	case KindRestore, KindRange, KindTable:
+		r, err := core.Open(j.req.Volume, j.req.BootstrapText, ro)
+		if err != nil {
+			return Result{}, err
+		}
+		var st *core.RestoreStats
+		switch j.req.Kind {
+		case KindRestore:
+			st, err = r.Restore(sink)
+		case KindRange:
+			st, err = r.Range(sink, j.req.Off, j.req.Length)
+		default:
+			st, err = r.Section(sink, j.req.Table)
+		}
 		if err != nil {
 			return Result{}, err
 		}
 		return Result{Stats: st, Data: data()}, nil
 
-	case KindRange:
-		got, st, err := core.RestoreRange(j.req.Volume, j.req.BootstrapText, j.req.Off, j.req.Length, ro)
-		if err != nil {
-			return Result{}, err
-		}
-		j.bytesOut.Store(int64(len(got)))
-		return Result{Data: got, Stats: st}, nil
-
-	case KindTable:
-		got, st, err := core.RestoreTable(j.req.Volume, j.req.BootstrapText, j.req.Table, ro)
-		if err != nil {
-			return Result{}, err
-		}
-		j.bytesOut.Store(int64(len(got)))
-		return Result{Data: got, Stats: st}, nil
-
 	case KindListIndex:
-		x, st, err := core.ListIndex(j.req.Volume, j.req.BootstrapText, ro)
+		r, err := core.Open(j.req.Volume, j.req.BootstrapText, ro)
+		if err != nil {
+			return Result{}, err
+		}
+		x, st, err := r.Index()
 		if err != nil {
 			return Result{}, err
 		}

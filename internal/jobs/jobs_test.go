@@ -96,6 +96,28 @@ func restoreReq(arch *core.Archived) Request {
 	}
 }
 
+// restoreVolume and restoreTable are the one-shot core calls the jobs'
+// outputs are compared with: Open, then one Reader call into memory.
+func restoreVolume(v *media.Volume, bootstrapText string, ro core.RestoreOptions) ([]byte, *core.RestoreStats, error) {
+	r, err := core.Open(v, bootstrapText, ro)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	st, err := r.Restore(&buf)
+	return buf.Bytes(), st, err
+}
+
+func restoreTable(v *media.Volume, bootstrapText, table string, ro core.RestoreOptions) ([]byte, *core.RestoreStats, error) {
+	r, err := core.Open(v, bootstrapText, ro)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	st, err := r.Section(&buf, table)
+	return buf.Bytes(), st, err
+}
+
 func TestSubmitValidation(t *testing.T) {
 	m := newManager(t, Config{Workers: 1})
 	defer drain(t, m)
@@ -117,7 +139,7 @@ func TestSubmitValidation(t *testing.T) {
 func TestResultsMatchOneShotFacade(t *testing.T) {
 	arch, data := fixture(t)
 	ro := core.RestoreOptions{Mode: core.RestoreNative}
-	wantTable, _, err := core.RestoreTable(arch.Volume, arch.BootstrapText, "nation", ro)
+	wantTable, _, err := restoreTable(arch.Volume, arch.BootstrapText, "nation", ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +214,7 @@ func TestResultsMatchOneShotFacade(t *testing.T) {
 	if res.Archived == nil {
 		t.Fatal("archive job returned no archive")
 	}
-	back, _, err := core.RestoreVolume(res.Archived.Volume, res.Archived.BootstrapText, ro)
+	back, _, err := restoreVolume(res.Archived.Volume, res.Archived.BootstrapText, ro)
 	if err != nil || !bytes.Equal(back, testPayload(8192)) {
 		t.Fatalf("archive job roundtrip: %v", err)
 	}
@@ -287,7 +309,7 @@ func TestRetryTransientThenSucceed(t *testing.T) {
 	if snap.Retries != 2 || snap.Attempts != 3 {
 		t.Fatalf("retries %d attempts %d, want 2 and 3", snap.Retries, snap.Attempts)
 	}
-	back, _, err := core.RestoreVolume(res.Archived.Volume, res.Archived.BootstrapText,
+	back, _, err := restoreVolume(res.Archived.Volume, res.Archived.BootstrapText,
 		core.RestoreOptions{Mode: core.RestoreNative})
 	if err != nil || !bytes.Equal(back, testPayload(8192)) {
 		t.Fatalf("flaky-source archive did not roundtrip: %v", err)

@@ -67,8 +67,8 @@ func newModuleSampler(img *raster.Gray, m bilinearMapper, g *geometry) moduleSam
 		img:  img,
 		m:    m,
 		bm:   float64(emblem.BorderModules + emblem.SeparatorModules),
-		gw:   float64(g.layout.GridW()),
-		gh:   float64(g.layout.GridH()),
+		gw:   float64(g.grid.GridW()),
+		gh:   float64(g.grid.GridH()),
 		uTab: g.uTab,
 		vTab: g.vTab,
 	}
@@ -217,7 +217,7 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 	// transition at every bit boundary, so each data row's sampling phase
 	// can be re-locked against scanner transport jitter before the row is
 	// demodulated — the self-clocking advantage over absolute grids.
-	offs := clockOffsets(s, &sm, g)
+	offs := clockOffsets(s, &sm, g, l)
 
 	// Sample the data path and demodulate.
 	path := g.path
@@ -306,8 +306,8 @@ func DecodeWith(s *DecodeScratch, img *raster.Gray, l emblem.Layout) ([]byte, em
 // clock phase. Scanner transport jitter is smooth, so each row's search
 // window is centred on the previous row's estimate (a first-order
 // tracking loop, as in floppy-disk data separators).
-func clockOffsets(s *DecodeScratch, sm *moduleSampler, g *geometry) []float64 {
-	l, pairsByRow := g.layout, g.pairsByRow
+func clockOffsets(s *DecodeScratch, sm *moduleSampler, g *geometry, l emblem.Layout) []float64 {
+	pairsByRow := g.pairsByRow
 
 	// Image pixels per module, for scaling the search window.
 	p0 := sm.m.mapUV(sm.bm/sm.gw, 0.5)
@@ -609,7 +609,7 @@ func median(v []float64) float64 {
 // under each of the four possible rotations, returning the rotation index
 // (multiples of 90° clockwise) and the grid→image mapper.
 func orient(img *raster.Gray, thr byte, corners [4]point, g *geometry) (int, bilinearMapper, error) {
-	l := g.layout
+	l := g.grid
 	boxOrigins := [4][2]int{
 		{0, 0},
 		{l.DataW - emblem.CornerBox, 0},

@@ -67,13 +67,15 @@ func Capacity(l emblem.Layout) int {
 	return total
 }
 
-// geometry is what a layout fixes for MOCoder: the serpentine data path,
-// each data row's clock-boundary pairs, the module sampler's per-tap grid
-// coordinates and the inner-code block lengths. It is built once per
-// layout and read-only after, so encoders and decoders on any goroutine
-// share it (the path alone is megabytes at paper scale).
+// geometry is what a layout's data grid fixes for MOCoder: the serpentine
+// data path, each data row's clock-boundary pairs, the module sampler's
+// per-tap grid coordinates and the inner-code block lengths. None of it
+// depends on the pixel pitch, so layouts that differ only in PxPerModule
+// — a native decode and the Rectify of the emulated modes — share one.
+// It is built once per grid and read-only after, so encoders and decoders
+// on any goroutine share it (the path alone is megabytes at paper scale).
 type geometry struct {
-	layout     emblem.Layout
+	grid       emblem.Layout // DataW and DataH; PxPerModule is zero
 	path       []emblem.Point
 	pairsByRow [][]clockPair
 	uTab, vTab []float64 // [mx*5+tap], [my*5+tap]: a module's five taps side by side
@@ -81,20 +83,22 @@ type geometry struct {
 	capacity   int       // payload bytes, the sum of lens
 }
 
-// lastGeometry is the last layout's geometry. Only one is kept, so a
+// lastGeometry is the last data grid's geometry. Only one is kept, so a
 // forged layout pins no more than one.
 var lastGeometry atomic.Pointer[geometry]
 
-// geometryFor returns l's geometry: g when it is l's, else the last
-// layout's when that is l, else a new one, which becomes the last.
+// geometryFor returns the geometry of l's data grid: g when it is that
+// grid's, else the last grid's when that is l's, else a new one, which
+// becomes the last.
 func geometryFor(g *geometry, l emblem.Layout) *geometry {
-	if g != nil && g.layout == l {
+	l = emblem.Layout{DataW: l.DataW, DataH: l.DataH}
+	if g != nil && g.grid == l {
 		return g
 	}
-	if g = lastGeometry.Load(); g != nil && g.layout == l {
+	if g = lastGeometry.Load(); g != nil && g.grid == l {
 		return g
 	}
-	g = &geometry{layout: l, path: l.DataPath(), lens: blockLens(codedBytes(l))}
+	g = &geometry{grid: l, path: l.DataPath(), lens: blockLens(codedBytes(l))}
 	for _, n := range g.lens {
 		g.capacity += n
 	}
@@ -221,7 +225,7 @@ func (e *Encoder) EncodeDamaged(payload []byte, hdr emblem.Header, l emblem.Layo
 	// Serialize to bits, pad with alternating filler to the full path.
 	e.bits = appendStreamBits(e.bits[:0], e.stream, l.StreamBits())
 
-	return render(e.bits, g), nil
+	return render(e.bits, g, l), nil
 }
 
 // appendStreamBits appends stream followed by alternating 0/1 filler bits
@@ -362,15 +366,15 @@ func deinterleaveInto(s *DecodeScratch, stream []byte, suspect []bool, lens []in
 	return s.blocks, er
 }
 
-// render paints the emblem of layout g.layout: quiet zone, border ring,
-// separator, corner marks and the Differential-Manchester data modules
-// along g.path. Black data modules are written as pixel rows straight
-// into Pix, and the bit stream is read inline — callers serialize exactly
-// StreamBits bits, so there is no out-of-bits path. The image is
-// byte-identical to the per-module FillRect reference formulation (pinned
-// by TestEncodeFastRender).
-func render(bits []byte, g *geometry) *raster.Gray {
-	l, path := g.layout, g.path
+// render paints the emblem of layout l, whose data grid's geometry is g:
+// quiet zone, border ring, separator, corner marks and the
+// Differential-Manchester data modules along g.path. Black data modules
+// are written as pixel rows straight into Pix, and the bit stream is read
+// inline — callers serialize exactly StreamBits bits, so there is no
+// out-of-bits path. The image is byte-identical to the per-module
+// FillRect reference formulation (pinned by TestEncodeFastRender).
+func render(bits []byte, g *geometry, l emblem.Layout) *raster.Gray {
+	path := g.path
 	px := l.PxPerModule
 	img := raster.New(l.ImageW(), l.ImageH())
 	pix := img.Pix

@@ -794,8 +794,10 @@ func AppendGuestInputBytes(dst []uint32, p *dynarisc.Program, input []byte) []ui
 // The restore pipeline keeps one Runner per worker so nested-decoding a
 // frame no longer allocates the GuestBase+guestWords cell array (tens of
 // megabytes) afresh each time; the machine is Reset between runs, which
-// clears only the dirtied cells. A Runner is not safe for concurrent
-// use; each goroutine needs its own.
+// clears only the dirtied cells. Every run loads the emulator image it is
+// given — a restore passes the one its archive's Bootstrap carries — so
+// one Runner serves archives written by any build. A Runner is not safe
+// for concurrent use; each goroutine needs its own.
 type Runner struct {
 	cpu *verisc.CPU
 	in  []uint32
@@ -805,13 +807,9 @@ type Runner struct {
 // first use and grown (never shrunk) to fit the largest guest seen.
 func NewRunner() *Runner { return &Runner{} }
 
-// exec prepares the reused machine and executes p to completion; the
-// guest's output words remain in r.cpu.Out.
-func (r *Runner) exec(guestWords int, maxSteps uint64, frame func([]uint32) []uint32) error {
-	prog, err := Program()
-	if err != nil {
-		return err
-	}
+// exec prepares the reused machine and executes the emulator image emu to
+// completion; the guest's output words remain in r.cpu.Out.
+func (r *Runner) exec(emu *verisc.Program, guestWords int, maxSteps uint64, frame func([]uint32) []uint32) error {
 	if guestWords <= 0 {
 		guestWords = DefaultGuestWords
 	}
@@ -823,7 +821,7 @@ func (r *Runner) exec(guestWords int, maxSteps uint64, frame func([]uint32) []ui
 		r.cpu.EnsureMem(need)
 	}
 	r.cpu.MaxSteps = maxSteps
-	if err := r.cpu.Load(prog.Org, prog.Cells); err != nil {
+	if err := r.cpu.Load(emu.Org, emu.Cells); err != nil {
 		return err
 	}
 	r.in = frame(r.in[:0])
@@ -834,11 +832,11 @@ func (r *Runner) exec(guestWords int, maxSteps uint64, frame func([]uint32) []ui
 	return nil
 }
 
-// Run executes a DynaRisc program under the reused nested emulator and
-// returns the guest's output words, with the same semantics as the
-// package-level Run.
-func (r *Runner) Run(p *dynarisc.Program, input []uint16, guestWords int, maxSteps uint64) ([]uint16, error) {
-	err := r.exec(guestWords, maxSteps, func(dst []uint32) []uint32 {
+// Run executes the DynaRisc program p on the emulator image emu, reusing
+// the machine, and returns the guest's output words, with the same
+// semantics as the package-level Run.
+func (r *Runner) Run(emu *verisc.Program, p *dynarisc.Program, input []uint16, guestWords int, maxSteps uint64) ([]uint16, error) {
+	err := r.exec(emu, guestWords, maxSteps, func(dst []uint32) []uint32 {
 		return AppendGuestInput(dst, p, input)
 	})
 	if err != nil {
@@ -851,12 +849,12 @@ func (r *Runner) Run(p *dynarisc.Program, input []uint16, guestWords int, maxSte
 	return out, nil
 }
 
-// RunAppendBytes executes p on a word input stream and appends the
-// guest's output bytes (low byte of each word) to dst — one conversion,
-// straight from the host machine's output cells into the caller's
-// buffer.
-func (r *Runner) RunAppendBytes(dst []byte, p *dynarisc.Program, input []uint16, guestWords int, maxSteps uint64) ([]byte, error) {
-	err := r.exec(guestWords, maxSteps, func(buf []uint32) []uint32 {
+// RunAppendBytes executes p on emu with a word input stream and appends
+// the guest's output bytes (low byte of each word) to dst — one
+// conversion, straight from the host machine's output cells into the
+// caller's buffer.
+func (r *Runner) RunAppendBytes(dst []byte, emu *verisc.Program, p *dynarisc.Program, input []uint16, guestWords int, maxSteps uint64) ([]byte, error) {
+	err := r.exec(emu, guestWords, maxSteps, func(buf []uint32) []uint32 {
 		return AppendGuestInput(buf, p, input)
 	})
 	if err != nil {
@@ -867,8 +865,8 @@ func (r *Runner) RunAppendBytes(dst []byte, p *dynarisc.Program, input []uint16,
 
 // RunBytesAppendBytes is RunAppendBytes for a byte guest input stream,
 // skipping the byte→word staging copy on the way in as well.
-func (r *Runner) RunBytesAppendBytes(dst []byte, p *dynarisc.Program, input []byte, guestWords int, maxSteps uint64) ([]byte, error) {
-	err := r.exec(guestWords, maxSteps, func(buf []uint32) []uint32 {
+func (r *Runner) RunBytesAppendBytes(dst []byte, emu *verisc.Program, p *dynarisc.Program, input []byte, guestWords int, maxSteps uint64) ([]byte, error) {
+	err := r.exec(emu, guestWords, maxSteps, func(buf []uint32) []uint32 {
 		return AppendGuestInputBytes(buf, p, input)
 	})
 	if err != nil {
@@ -877,9 +875,14 @@ func (r *Runner) RunBytesAppendBytes(dst []byte, p *dynarisc.Program, input []by
 	return r.cpu.AppendOutBytes(dst), nil
 }
 
-// Run executes a DynaRisc program under the nested emulator and returns
-// the guest's output words. guestWords sizes guest memory (0 selects
-// DefaultGuestWords); maxSteps bounds host VeRisc steps (0 = unlimited).
+// Run executes a DynaRisc program under the emulator this package builds
+// (Program) and returns the guest's output words. guestWords sizes guest
+// memory (0 selects DefaultGuestWords); maxSteps bounds host VeRisc steps
+// (0 = unlimited).
 func Run(p *dynarisc.Program, input []uint16, guestWords int, maxSteps uint64) ([]uint16, error) {
-	return NewRunner().Run(p, input, guestWords, maxSteps)
+	emu, err := Program()
+	if err != nil {
+		return nil, err
+	}
+	return NewRunner().Run(emu, p, input, guestWords, maxSteps)
 }

@@ -46,6 +46,10 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	emu, err := Program()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewRunner()
 	runs := []struct {
 		prog  *dynarisc.Program
@@ -60,7 +64,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: fresh: %v", i, err)
 		}
-		got, err := r.Run(tc.prog, tc.input, 1<<18, 0)
+		got, err := r.Run(emu, tc.prog, tc.input, 1<<18, 0)
 		if err != nil {
 			t.Fatalf("run %d: reused: %v", i, err)
 		}
@@ -75,7 +79,7 @@ func TestRunnerReuseMatchesFresh(t *testing.T) {
 
 		// Abort the Runner mid-guest; the next iteration must still
 		// match a fresh machine.
-		if _, err := r.Run(tc.prog, tc.input, 1<<18, 50); !errors.Is(err, verisc.ErrStepLimit) {
+		if _, err := r.Run(emu, tc.prog, tc.input, 1<<18, 50); !errors.Is(err, verisc.ErrStepLimit) {
 			t.Fatalf("run %d: step-limited rerun: got %v, want step limit", i, err)
 		}
 	}
@@ -110,8 +114,12 @@ func TestRunnerAppendBytes(t *testing.T) {
 		wantBytes[i] = byte(w)
 	}
 
+	emu, err := Program()
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := NewRunner()
-	got, err := r.RunBytesAppendBytes([]byte("pfx:"), echo, payload, 1<<18, 0)
+	got, err := r.RunBytesAppendBytes([]byte("pfx:"), emu, echo, payload, 1<<18, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +127,7 @@ func TestRunnerAppendBytes(t *testing.T) {
 		t.Fatalf("RunBytesAppendBytes = %q, want %q", got, "pfx:"+string(wantBytes))
 	}
 
-	got2, err := r.RunAppendBytes(nil, echo, dynarisc.AppendInWords(nil, payload), 1<<18, 0)
+	got2, err := r.RunAppendBytes(nil, emu, echo, dynarisc.AppendInWords(nil, payload), 1<<18, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,9 +32,12 @@
 // Archives are multi-volume and streaming: ArchiveReader plans, encodes
 // and places one outer-code group at a time onto a media.Volume — an
 // ordered set of sheets (pages, reels) cut to Options.SheetFrames, with a
-// group never straddling a carrier — and RestoreTo flushes each group to
-// an io.Writer as soon as its frames decode. The []byte APIs are thin
-// wrappers over the streaming ends.
+// group never straddling a carrier — and a restore flushes each group to
+// an io.Writer as soon as its frames decode. Open parses the Bootstrap
+// text once and returns a Reader whose Restore, Range and Section calls
+// stream to an io.Writer, each with its own RestoreStats; the one-shot
+// restore and query functions and the []byte APIs are thin wrappers over
+// Open and one Reader call.
 //
 // Subpackages: media (analog media simulation and capacity models), raster
 // (images), dynarisc and verisc (the two virtual processors), tpch (the
@@ -42,6 +45,7 @@
 package microlonys
 
 import (
+	"bytes"
 	"io"
 
 	"microlonys/internal/archindex"
@@ -106,22 +110,36 @@ func ArchiveReader(r io.Reader, opts Options) (*Archived, error) {
 	return core.CreateArchiveStream(r, opts)
 }
 
+// Reader is an archive opened for restoration (Open): Restore, Range and
+// Section write their answer to an io.Writer, Index returns the archive's
+// index, and each call returns its own RestoreStats.
+type Reader = core.Reader
+
+// Open parses the Bootstrap text once and resolves the decoders the
+// restore mode runs — in the emulated modes the archived MODecode
+// program, and in nested mode the DynaRisc emulator the Bootstrap
+// carries — so errors in the Bootstrap surface here. Every restore entry
+// point below is Open followed by one Reader call.
+func Open(v *media.Volume, bootstrapText string, opts RestoreOptions) (*Reader, error) {
+	return core.Open(v, bootstrapText, opts)
+}
+
 // Restore runs the restoration pipeline of Figure 2(b) against a medium
 // and the Bootstrap text, returning the original archive bytes.
 func Restore(m *media.Medium, bootstrapText string, mode Mode) ([]byte, *RestoreStats, error) {
-	return core.Restore(m, bootstrapText, mode)
+	return RestoreWith(m, bootstrapText, RestoreOptions{Mode: mode})
 }
 
 // RestoreWith is Restore with explicit options — most usefully Workers,
 // which sizes the scan/decode worker pool. Output is byte-identical at
 // any worker count.
 func RestoreWith(m *media.Medium, bootstrapText string, opts RestoreOptions) ([]byte, *RestoreStats, error) {
-	return core.RestoreWithOptions(m, bootstrapText, opts)
+	return RestoreVolume(media.VolumeOf(m), bootstrapText, opts)
 }
 
 // RestoreVolume restores a multi-sheet volume into memory.
 func RestoreVolume(v *media.Volume, bootstrapText string, opts RestoreOptions) ([]byte, *RestoreStats, error) {
-	return core.RestoreVolume(v, bootstrapText, opts)
+	return collect(v, bootstrapText, opts, (*Reader).Restore)
 }
 
 // RestoreTo runs the restoration pipeline group-incrementally against a
@@ -133,7 +151,11 @@ func RestoreVolume(v *media.Volume, bootstrapText string, opts RestoreOptions) (
 // past lost carriers, zero-filling and reporting what could not be
 // recovered.
 func RestoreTo(w io.Writer, v *media.Volume, bootstrapText string, opts RestoreOptions) (*RestoreStats, error) {
-	return core.RestoreToWriter(w, v, bootstrapText, opts)
+	r, err := core.Open(v, bootstrapText, opts)
+	if err != nil {
+		return nil, err
+	}
+	return r.Restore(w)
 }
 
 // ArchiveIndex is a volume's selective-restore index: archive identity
@@ -156,30 +178,53 @@ const (
 // only the data frames the range's stream span occupies — a group's
 // parity and other frames are scanned only to recover a failed one,
 // whole sheets outside the query are skipped without a single frame
-// scan, and only the overlapping DBS1 restart blocks are decompressed. The bytes are identical to the
-// same slice of a full Restore at any worker count. Volumes without a
-// usable index fall back to a full restore (RestoreStats.IndexFallbacks).
+// scan, and only the overlapping DBS1 restart blocks are decompressed.
+// The bytes are identical to the same slice of a full Restore at any
+// worker count. Volumes without a usable index fall back to a full
+// restore (RestoreStats.IndexFallbacks).
 func RestoreRange(v *media.Volume, bootstrapText string, off, length int, opts RestoreOptions) ([]byte, *RestoreStats, error) {
-	return core.RestoreRange(v, bootstrapText, off, length, opts)
+	return collect(v, bootstrapText, opts, func(r *Reader, w io.Writer) (*RestoreStats, error) {
+		return r.Range(w, off, length)
+	})
 }
 
 // RestoreTable restores one SQL-dump table's rows region by name through
 // the index's section table, decoding only the data frames the table's
 // restart blocks occupy (and the rest of a group only to recover it).
 func RestoreTable(v *media.Volume, bootstrapText, table string, opts RestoreOptions) ([]byte, *RestoreStats, error) {
-	return core.RestoreTable(v, bootstrapText, table, opts)
+	return RestoreSection(v, bootstrapText, table, opts)
 }
 
 // RestoreSection restores one named archive section — a table ("nation")
 // or a column ("nation.n_name") — through the index.
 func RestoreSection(v *media.Volume, bootstrapText, name string, opts RestoreOptions) ([]byte, *RestoreStats, error) {
-	return core.RestoreSection(v, bootstrapText, name, opts)
+	return collect(v, bootstrapText, opts, func(r *Reader, w io.Writer) (*RestoreStats, error) {
+		return r.Section(w, name)
+	})
 }
 
 // ListIndex reads a volume's selective-restore index without decoding any
 // payload group: one index emblem probe per sheet until one parses.
 func ListIndex(v *media.Volume, bootstrapText string, opts RestoreOptions) (*ArchiveIndex, *RestoreStats, error) {
-	return core.ListIndex(v, bootstrapText, opts)
+	r, err := core.Open(v, bootstrapText, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return r.Index()
+}
+
+// collect opens v and runs one Reader call into memory.
+func collect(v *media.Volume, bootstrapText string, opts RestoreOptions, call func(*Reader, io.Writer) (*RestoreStats, error)) ([]byte, *RestoreStats, error) {
+	r, err := core.Open(v, bootstrapText, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	var buf bytes.Buffer
+	st, err := call(r, &buf)
+	if err != nil {
+		return nil, st, err
+	}
+	return buf.Bytes(), st, nil
 }
 
 // SalvageOptions configures a Salvage run.
@@ -201,7 +246,12 @@ type SalvageReport = core.SalvageReport
 // byte-identical to Restore whenever damage stays within the parity
 // budget.
 func Salvage(sheets []*media.Medium, opts SalvageOptions) ([]byte, *SalvageReport, error) {
-	return core.Salvage(sheets, opts)
+	var buf bytes.Buffer
+	rep, err := core.SalvageTo(&buf, sheets, opts)
+	if err != nil {
+		return nil, rep, err
+	}
+	return buf.Bytes(), rep, nil
 }
 
 // SalvageTo is Salvage streaming to an io.Writer.
